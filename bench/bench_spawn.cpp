@@ -1,7 +1,7 @@
 // Spawn/steal hot-path benchmark and perf guardrail: measures ns-per-spawn
 // and ns-per-steal with pooled task storage (Config::pool_tasks, the
 // default) against the heap-allocating fallback, plus raw ChaseLevDeque
-// push/pop/steal costs, and emits BENCH_spawn_steal.json (same shape as
+// push/pop/steal/grow costs, and emits BENCH_spawn_steal.json (same shape as
 // BENCH_deadlock_overhead.json).
 //
 // Legs:
@@ -20,6 +20,9 @@
 //    ~zero.
 //  - deque-push-pop / deque-steal: the raw ChaseLevDeque primitives
 //    underneath, owner-only and thief-drain respectively.
+//  - deque-grow: ns per push into fresh deques of capacity 2, each filled
+//    with kGrowPushes items, so every push batch pays the geometric
+//    growth path (and the destructor's free of the retired buffers).
 //
 // Heap/pooled reps alternate (heap, pooled, heap, ...) so drift lands on
 // both legs equally; `--warmup` reps per leg are discarded, absorbing the
@@ -53,6 +56,8 @@
 namespace {
 
 using namespace dws;
+
+constexpr long kGrowPushes = 4096;  // per cold deque: 11 grows from 2
 
 Config spawn_config(unsigned cores, bool pooled) {
   Config cfg;
@@ -217,9 +222,23 @@ int main(int argc, char** argv) {
       }
     }
   }
+  util::Samples grow_ns;
+  const long grow_deques = std::max(1L, deque_items / kGrowPushes);
+  for (int r = 0; r < warmup + reps; ++r) {
+    util::Stopwatch sw;
+    for (long k = 0; k < grow_deques; ++k) {
+      rt::ChaseLevDeque<std::intptr_t> d(2);
+      for (long i = 0; i < kGrowPushes; ++i) d.push(i);
+    }
+    if (r >= warmup) {
+      grow_ns.add(sw.elapsed_ms() * 1e6 /
+                  static_cast<double>(grow_deques * kGrowPushes));
+    }
+  }
   std::cout << "deque-push-pop: " << push_pop_ns.summary()
             << " ns/op; deque-steal: " << steal_ns.summary()
-            << " ns/steal\n";
+            << " ns/steal; deque-grow: " << grow_ns.summary()
+            << " ns/push\n";
 
   bool pass = true;
   for (const auto& leg : spawn_legs) pass = pass && leg.within && leg.alloc_ok;
@@ -257,6 +276,8 @@ int main(int argc, char** argv) {
   json_stats(out, "ns_per_op", push_pop_ns);
   out << "},\n   {\"workload\": \"deque-steal\",\n";
   json_stats(out, "ns_per_steal", steal_ns);
+  out << "},\n   {\"workload\": \"deque-grow\",\n";
+  json_stats(out, "ns_per_push", grow_ns);
   out << "}\n  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
   out.close();
   std::cout << (pass ? "PASS" : "FAIL") << " — wrote " << out_path << "\n";

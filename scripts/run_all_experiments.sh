@@ -21,7 +21,7 @@ BENCHES=(
   bench_single_program_overhead bench_scalability_multiprog
   bench_bws_comparison bench_asymmetric bench_worksharing bench_cache_model
   bench_machine_width bench_fig4_confidence bench_adaptive_tsleep
-  bench_blocked_linalg bench_timeline bench_deque bench_spawn
+  bench_blocked_linalg bench_timeline bench_spawn
   bench_deadlock_overhead bench_false_sharing bench_locality
 )
 
@@ -92,7 +92,6 @@ run bench_fig4_confidence --seeds=5
 run bench_adaptive_tsleep
 run bench_blocked_linalg
 run bench_timeline --out="$OUT"
-run bench_deque --benchmark_min_time=0.1
 run bench_spawn --out="$OUT/BENCH_spawn_steal.json"
 run bench_deadlock_overhead --out="$OUT/BENCH_deadlock_overhead.json"
 run bench_false_sharing --out="$OUT/BENCH_false_sharing.json"

@@ -177,12 +177,6 @@ void Worker::thread_main() {
       continue;
     }
 
-    // Out of work: the cold path is the natural point to reclaim deque
-    // buffers retired by grow() — steal traffic on our deque has usually
-    // quiesced by the time we are idle (two loads when there is nothing
-    // to reclaim).
-    deque_.try_reclaim();
-
     // Nothing anywhere. If the program as a whole has no in-flight work,
     // park on the idle gate instead of burning the core (non-sleeping
     // modes only: in DWS/DWS-NC the T_SLEEP path below is the idle

@@ -48,6 +48,57 @@ std::int64_t spin_work(std::int64_t iters) {
   return acc;
 }
 
+// Keeps `sched` saturated from a background thread for the object's
+// lifetime: kChains self-renewing task chains, each link spawning its
+// successor before doing its own work. Every worker therefore always
+// finds a task (its own deque or a steal), never reaches T_SLEEP, and the
+// program never releases a core voluntarily — so a co-runner that wants
+// its lent cores back must take them through the reclaim path. (A loop
+// of separate parallel_for rounds does not give that guarantee: the
+// workers go idle at each round's tail and may release the borrowed
+// cores, which the owner then claims as free instead of reclaiming.)
+// The destructor stops the chains and joins, so a failing ASSERT cannot
+// leave a joinable thread behind.
+class Saturator {
+ public:
+  Saturator(Scheduler& sched, std::int64_t work)
+      : sched_(sched), work_(work), thread_([this] { drive(); }) {}
+  ~Saturator() { stop(); }
+  Saturator(const Saturator&) = delete;
+  Saturator& operator=(const Saturator&) = delete;
+
+  void stop() {
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) thread_.join();
+  }
+
+ private:
+  static constexpr int kChains = 32;
+
+  struct Link {
+    Saturator* self;
+    TaskGroup* group;
+    void operator()() const {
+      if (self->stop_.load(std::memory_order_acquire)) return;
+      self->sched_.spawn(*group, Link{*this});
+      spin_work(self->work_);
+    }
+  };
+
+  void drive() {
+    TaskGroup group;
+    sched_.run([this, &group] {
+      for (int i = 0; i < kChains; ++i) sched_.spawn(group, Link{this, &group});
+    });
+    sched_.wait(group);
+  }
+
+  Scheduler& sched_;
+  const std::int64_t work_;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  // last: started once every other member is ready
+};
+
 TEST(CoRun, TwoDwsProgramsCompleteConcurrentWork) {
   CoreTableLocal shared(4, 2);
   const Config cfg = corun_config(SchedMode::kDws, 4, 2);
@@ -139,21 +190,12 @@ TEST(CoRun, OwnerReclaimsCoresWhenItsDemandReturns) {
   Scheduler a(cfg, &shared.table());
   Scheduler b(cfg, &shared.table());
 
-  // Phase 1: a is idle; b (kept busy until a finishes, so a's cores stay
-  // borrowed for the whole of phase 2) grabs a's cores.
+  // Phase 1: a is idle; b, saturated until a finishes, borrows both of
+  // a's home cores and keeps them for the whole of phase 2.
   ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 4; }));
-  std::atomic<bool> stop_b{false};
-  std::thread tb([&] {
-    while (!stop_b.load(std::memory_order_acquire)) {
-      // Grain 1 over a large range keeps every one of b's deques full, so
-      // b's workers never fail a steal, never sleep, and never release
-      // a's borrowed cores voluntarily — forcing a onto the reclaim path.
-      parallel_for_each_index(b, 0, 50000, 1,
-                              [&](std::int64_t) { spin_work(50); });
-    }
-  });
+  Saturator load_b(b, 50);
   ASSERT_TRUE(eventually(
-      [&] { return shared.table().count_borrowed_from(a.pid()) > 0; }))
+      [&] { return shared.table().count_borrowed_from(a.pid()) == 2; }))
       << "b never borrowed a's cores";
 
   // Phase 2: a's demand returns; its coordinator must take cores back
@@ -165,8 +207,7 @@ TEST(CoRun, OwnerReclaimsCoresWhenItsDemandReturns) {
       ca.fetch_add(1, std::memory_order_relaxed);
     });
   }
-  stop_b.store(true, std::memory_order_release);
-  tb.join();
+  load_b.stop();
   EXPECT_EQ(ca.load(), 20000);
   const auto stats = a.stats();
   EXPECT_GT(stats.cores_reclaimed, 0u)
@@ -181,13 +222,7 @@ TEST(CoRun, EvictedBorrowerVacatesTheCore) {
 
   ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 2; }));
   // b under sustained load borrows a's single home core...
-  std::atomic<bool> stop_b{false};
-  std::thread tb([&] {
-    while (!stop_b.load(std::memory_order_acquire)) {
-      parallel_for_each_index(b, 0, 500, 2,
-                              [&](std::int64_t) { spin_work(200); });
-    }
-  });
+  Saturator load_b(b, 200);
   ASSERT_TRUE(eventually(
       [&] { return shared.table().count_borrowed_from(a.pid()) == 1; }));
 
@@ -197,8 +232,7 @@ TEST(CoRun, EvictedBorrowerVacatesTheCore) {
     parallel_for_each_index(a, 0, 500, 2,
                             [&](std::int64_t) { spin_work(200); });
   }
-  stop_b.store(true, std::memory_order_release);
-  tb.join();
+  load_b.stop();
 
   const auto stats_b = b.stats();
   EXPECT_GT(stats_b.totals.evictions, 0u)

@@ -833,8 +833,11 @@ TEST_F(FastTrackTest, BackToBackSessionsStartClean) {
 //    verifies under the serial-elision schedule.
 // ---------------------------------------------------------------------
 
+// The app name is held as a std::string, not a const char*: gtest prints
+// a pointer parameter as its address, which would put an ASLR-dependent
+// value into every discovered test name and change it from build to build.
 class RaceCleanTest
-    : public ::testing::TestWithParam<std::tuple<const char*, race::Mode>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, race::Mode>> {
 };
 
 TEST_P(RaceCleanTest, AppRunsWithoutRaces) {
@@ -854,20 +857,24 @@ TEST_P(RaceCleanTest, AppRunsWithoutRaces) {
 
 std::string clean_test_name(
     const ::testing::TestParamInfo<RaceCleanTest::ParamType>& info) {
-  return std::string(std::get<0>(info.param)) + mode_tag(std::get<1>(info.param));
+  return std::get<0>(info.param) + mode_tag(std::get<1>(info.param));
 }
 
-INSTANTIATE_TEST_SUITE_P(Table2, RaceCleanTest,
-                         ::testing::Combine(::testing::ValuesIn(apps::kAppNames),
-                                            ::testing::ValuesIn(kBothModes)),
-                         clean_test_name);
+INSTANTIATE_TEST_SUITE_P(
+    Table2, RaceCleanTest,
+    ::testing::Combine(::testing::ValuesIn(std::vector<std::string>(
+                           std::begin(apps::kAppNames),
+                           std::end(apps::kAppNames))),
+                       ::testing::ValuesIn(kBothModes)),
+    clean_test_name);
 
 // The tiled kernels: their block-dependency structure (phase waits +
 // per-phase tile disjointness) is exactly where a stale-tile race would
 // hide, so they get the same clean certification as the Table-2 apps.
 INSTANTIATE_TEST_SUITE_P(
     BlockedLinalg, RaceCleanTest,
-    ::testing::Combine(::testing::Values("BlockedCholesky", "BlockedLU"),
+    ::testing::Combine(::testing::Values(std::string("BlockedCholesky"),
+                                         std::string("BlockedLU")),
                        ::testing::ValuesIn(kBothModes)),
     clean_test_name);
 

@@ -34,17 +34,32 @@ const char* shape_name(int shape) {
 
 using Combo = std::tuple<SchedMode, unsigned, unsigned, int>;
 
+// Every mode × machine width (2, 4, 16) × co-running programs (1–3) ×
+// workload shape, except space-sharing modes with more programs than
+// cores: EP rejects homeless programs outright; DWS admits them but makes
+// no progress guarantee (constraint 3 forbids preempting non-owned
+// cores) — starvation is legitimate, so the completion invariants do not
+// apply. See FailureInjection.ManyProgramsOnFewCores.
+std::vector<Combo> grid() {
+  std::vector<Combo> out;
+  for (SchedMode mode : {SchedMode::kClassic, SchedMode::kAbp, SchedMode::kEp,
+                         SchedMode::kDws, SchedMode::kDwsNc, SchedMode::kBws}) {
+    for (unsigned cores : {2u, 4u, 16u}) {
+      for (unsigned programs : {1u, 2u, 3u}) {
+        if (mode_space_shares(mode) && programs > cores) continue;
+        for (int shape : {0, 1, 2, 3}) {
+          out.emplace_back(mode, cores, programs, shape);
+        }
+      }
+    }
+  }
+  return out;
+}
+
 class SimProperty : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(SimProperty, InvariantsHold) {
   const auto [mode, cores, programs, shape] = GetParam();
-  if (mode_space_shares(mode) && programs > cores) {
-    // EP rejects homeless programs outright; DWS admits them but makes
-    // no progress guarantee (constraint 3 forbids preempting non-owned
-    // cores) — starvation is legitimate, so the completion invariants
-    // do not apply. See FailureInjection.ManyProgramsOnFewCores.
-    GTEST_SKIP() << "space-sharing requires a home core per program";
-  }
   const TaskDag dag = make_shape(shape);
 
   SimParams params;
@@ -102,13 +117,6 @@ TEST_P(SimProperty, InvariantsHold) {
 
 TEST_P(SimProperty, BitwiseDeterministicReplay) {
   const auto [mode, cores, programs, shape] = GetParam();
-  if (mode_space_shares(mode) && programs > cores) {
-    // EP rejects homeless programs outright; DWS admits them but makes
-    // no progress guarantee (constraint 3 forbids preempting non-owned
-    // cores) — starvation is legitimate, so the completion invariants
-    // do not apply. See FailureInjection.ManyProgramsOnFewCores.
-    GTEST_SKIP() << "space-sharing requires a home core per program";
-  }
   const TaskDag dag = make_shape(shape);
   SimParams params;
   params.num_cores = cores;
@@ -141,12 +149,7 @@ TEST_P(SimProperty, BitwiseDeterministicReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimProperty,
-    ::testing::Combine(
-        ::testing::Values(SchedMode::kClassic, SchedMode::kAbp, SchedMode::kEp,
-                          SchedMode::kDws, SchedMode::kDwsNc, SchedMode::kBws),
-        ::testing::Values(2u, 4u, 16u),   // machine width
-        ::testing::Values(1u, 2u, 3u),    // co-running programs
-        ::testing::Values(0, 1, 2, 3)),   // workload shape
+    ::testing::ValuesIn(grid()),
     [](const auto& info) {
       std::string s = std::string(to_string(std::get<0>(info.param))) + "_k" +
                       std::to_string(std::get<1>(info.param)) + "_m" +

@@ -57,7 +57,6 @@ struct Access {
       DWS_AUDIT_FIELD(bottom_, "owned_by:owner");
       DWS_AUDIT_FIELD(top_cache_, "owned_by:owner");
       DWS_AUDIT_FIELD(buffer_, "owned_by:owner");
-      DWS_AUDIT_FIELD(inflight_thieves_, "shared");
       DWS_AUDIT_FIELD(retired_, "");
     }
     {
