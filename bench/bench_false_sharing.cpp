@@ -75,7 +75,7 @@ double churn_rep(unsigned threads, long iters) {
   std::vector<Slot> slots(threads);
   std::atomic<unsigned> ready{0};
   std::atomic<bool> go{false};
-  std::vector<std::thread> team;
+  std::vector<std::thread> team;  // dws-lint-sanction: bench drives the core-table CAS protocol directly, below the scheduler
   team.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) {
     team.emplace_back([&, t] {  // dws-lint-sanction: bench drives the core-table CAS protocol directly, below the scheduler
@@ -128,7 +128,7 @@ double storm_rep(long items) {
   Stats st;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> stolen{0};
-  std::vector<std::thread> helpers;
+  std::vector<std::thread> helpers;  // dws-lint-sanction: bench drives the thief side of the deque directly, below the scheduler
   for (int i = 0; i < 2; ++i) {
     helpers.emplace_back([&] {  // dws-lint-sanction: bench drives the thief side of the deque directly, below the scheduler
       std::uint64_t n = 0;

@@ -46,42 +46,53 @@ void Coordinator::stop() {
 }
 
 void Coordinator::thread_main() {
-  const auto period = std::chrono::duration<double, std::milli>(period_ms_);
+  using Clock = std::chrono::steady_clock;
+  const auto period = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double, std::milli>(period_ms_));
+  auto next_period = Clock::now() + period;
   std::unique_lock<std::mutex> lock(m_);
   while (!stop_requested_) {
-    // Sleeping every T ms (§3.4). nudge() — a notify without stop — cuts
-    // the wait short so externally submitted work on a fully-asleep
-    // program is picked up promptly.
-    cv_.wait_for(lock, period);
+    // Sleep until the period T elapses (§3.4) or a nudge is pending.
+    // Demand steps do not move the periodic deadline: T stays the
+    // heartbeat and stale-sweep clock however often demand arrives.
+    cv_.wait_until(lock, next_period,
+                   [this] { return stop_requested_ || nudge_pending_; });
     if (stop_requested_) break;
+    nudge_pending_ = false;
+    const auto now = Clock::now();
+    const bool periodic = now >= next_period;
+    if (periodic) next_period = now + period;
     lock.unlock();
-    tick();
+    tick(periodic);
     lock.lock();
   }
 }
 
 void Coordinator::nudge() noexcept {
   std::lock_guard<std::mutex> lock(m_);
+  nudge_pending_ = true;
   cv_.notify_all();
 }
 
-void Coordinator::tick() {
+void Coordinator::tick(bool periodic) {
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  if (sched_.config().adaptive_t_sleep) sched_.decay_t_sleep();
-
-  if (driver_ != nullptr) {
-    // Liveness: tell co-runners we are alive, then recover from any that
-    // no longer are. Sweeping before the snapshot means cores freed from
-    // a dead co-runner count toward N_f in *this* tick's decision — the
-    // survivor's demand-aware wake path absorbs them immediately.
-    sched_.table()->heartbeat(sched_.pid());
-    if (sweeper_ != nullptr) {
-      const StaleSweepResult swept = sweeper_->sweep();
-      if (!swept.empty()) {
-        stale_programs_swept_.fetch_add(swept.declared_dead.size(),
-                                        std::memory_order_relaxed);
-        cores_recovered_.fetch_add(swept.freed.size(),
-                                   std::memory_order_relaxed);
+  if (periodic) {
+    if (sched_.config().adaptive_t_sleep) sched_.decay_t_sleep();
+    if (driver_ != nullptr) {
+      // Liveness: tell co-runners we are alive, then recover from any
+      // that no longer are. Sweeping before the snapshot means cores
+      // freed from a dead co-runner count toward N_f in *this* tick's
+      // decision — the survivor's demand-aware wake path absorbs them
+      // immediately.
+      sched_.table()->heartbeat(sched_.pid());
+      if (sweeper_ != nullptr) {
+        const StaleSweepResult swept = sweeper_->sweep();
+        if (!swept.empty()) {
+          stale_programs_swept_.fetch_add(swept.declared_dead.size(),
+                                          std::memory_order_relaxed);
+          cores_recovered_.fetch_add(swept.freed.size(),
+                                     std::memory_order_relaxed);
+        }
       }
     }
   }
@@ -102,8 +113,13 @@ void Coordinator::tick() {
   }
 
   const WakeDecision d = policy_.decide(s);
-  if (d.total() == 0) return;
+  if (d.total() > 0) wake(d);
+  // Once per period a spawn may trigger a demand step even when the last
+  // one could not win a core (sleeps and wakes re-arm it otherwise).
+  if (periodic) sched_.arm_demand_gate();
+}
 
+void Coordinator::wake(const WakeDecision& d) {
   if (driver_ != nullptr) {
     const AcquireResult won = driver_->acquire(d);
     cores_claimed_.fetch_add(won.claimed.size(), std::memory_order_relaxed);

@@ -1,7 +1,9 @@
 // The per-program coordinator thread (§3.3): every T milliseconds it
 // snapshots the program's demand (N_b, N_a) and the table state (N_f,
 // N_r), runs CoordinatorPolicy, acquires cores, and wakes the sleeping
-// workers on them.
+// workers on them. Between periods, a nudge (external work on an idle
+// program, or the scheduler's demand gate: a spawn while some worker
+// sleeps) runs the same decision at once.
 //
 // Only the sleeping modes (DWS, DWS-NC) get a live coordinator; for other
 // modes the scheduler does not construct one, matching the paper's claim
@@ -37,10 +39,15 @@ class Coordinator {
 
   /// Run one coordination step immediately (also used by tests to drive
   /// the coordinator deterministically without waiting out the period).
-  void tick();
+  /// A periodic step also heartbeats, sweeps stale co-runners, decays
+  /// the adaptive T_SLEEP and re-arms the demand gate; a demand step
+  /// (`periodic == false`) only runs the Eq. 1 decision and its wakes.
+  void tick(bool periodic = true);
 
-  /// Cut the current period's sleep short so the next tick happens now.
-  /// Called when external work arrives on a fully-asleep program.
+  /// Request a demand step now. Called when external work arrives on an
+  /// idle program and when the demand gate trips. The request is a
+  /// pending flag, so one that lands during a tick is served right
+  /// after it instead of being lost until the next period.
   void nudge() noexcept;
 
   [[nodiscard]] std::uint64_t ticks() const noexcept {
@@ -68,6 +75,8 @@ class Coordinator {
   friend struct dws::layout::Access;  // layout_audit reads private layouts
 
   void thread_main();
+  /// Secure the decided cores and wake the workers on them.
+  void wake(const WakeDecision& d);
 
   Scheduler& sched_;
   const double period_ms_;
@@ -82,9 +91,10 @@ class Coordinator {
   DWS_SHARED std::mutex m_;
   DWS_SHARED std::condition_variable cv_;
   DWS_SHARED bool stop_requested_ = false;  // guarded by m_
+  DWS_SHARED bool nudge_pending_ = false;   // guarded by m_
 
   // Monitoring counters, written by the coordinator thread alone on its
-  // once-per-period tick and read racily by stats snapshots.
+  // ticks and read racily by stats snapshots.
   alignas(layout::kCacheLineBytes) DWS_OWNED_BY(coordinator)
       std::atomic<std::uint64_t> ticks_{0};
   DWS_OWNED_BY(coordinator) std::atomic<std::uint64_t> wakes_{0};

@@ -85,6 +85,7 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
   if (!cfg_.work_sharing && w != nullptr) {
     // Algorithm 1's common case: spawn onto the spawning worker's deque.
     w->deque().push(task);
+    note_demand();
     return;
   }
   // External submission — or every submission under work-sharing (§4.4
@@ -102,13 +103,17 @@ void Scheduler::enqueue(TaskBase* task, Worker* w) {
   inbox_size_.fetch_add(1, std::memory_order_release);
   if (prev == 0) {
     // The program was idle: open the gate for non-sleeping modes and cut
-    // the coordinator's nap short for sleeping modes.
+    // the coordinator's nap short for sleeping modes. This nudge does not
+    // wait for the demand gate: a submission that races the last workers
+    // falling asleep can still read sleepers_ == 0.
     {
       std::lock_guard<std::mutex> lock(gate_m_);
       gate_cv_.notify_all();
     }
     if (coordinator_) coordinator_->nudge();
+    return;
   }
+  note_demand();
 }
 
 void Scheduler::execute(TaskBase* task) noexcept {

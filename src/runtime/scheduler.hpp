@@ -231,6 +231,25 @@ class Scheduler {
   [[nodiscard]] bool shutdown_requested() const noexcept {
     return shutdown_.load(std::memory_order_acquire);
   }
+  /// Spawn side of the demand gate: when some worker sleeps, the first
+  /// publication since the gate was last armed nudges the coordinator
+  /// into an Eq. 1 decision now instead of at the next period. With no
+  /// sleepers this is one relaxed load: no RMW, no fence.
+  void note_demand() noexcept {
+    if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+    if (!demand_armed_.load(std::memory_order_relaxed) ||
+        !demand_armed_.exchange(false, std::memory_order_relaxed)) {
+      return;
+    }
+    coordinator_->nudge();  // only the sleeping modes have sleepers
+  }
+  /// Re-armed by a worker going to sleep, by a successful wake (before
+  /// the signal, so the woken worker's first spawns find it armed) and
+  /// by each periodic tick. Demand ticks are therefore bounded by
+  /// sleeps + wakes + periodic ticks.
+  void arm_demand_gate() noexcept {
+    demand_armed_.store(true, std::memory_order_relaxed);
+  }
 
   Config cfg_;
   Topology topology_;  // immutable after construction; read by all workers
@@ -258,6 +277,14 @@ class Scheduler {
   // worker — the scheduler's hottest multi-writer word, alone on its line.
   alignas(layout::kCacheLineBytes) DWS_SHARED
       std::atomic<std::int64_t> total_pending_{0};
+  // Demand gate: sleepers_ counts the workers inside go_to_sleep (its
+  // only writer, on the sleep and wake transitions); demand_armed_ is the
+  // one-shot latch note_demand() trips. Every spawn reads this line and
+  // only sleep/wake/tick events write it, so it stays shared-clean in the
+  // spawners' caches and off the total_pending_ line.
+  alignas(layout::kCacheLineBytes) DWS_SHARED
+      std::atomic<unsigned> sleepers_{0};
+  DWS_SHARED std::atomic<bool> demand_armed_{false};
   alignas(layout::kCacheLineBytes) DWS_SHARED std::mutex gate_m_;
   DWS_SHARED std::condition_variable gate_cv_;
 

@@ -34,6 +34,7 @@ void Worker::join() {
 bool Worker::wake() noexcept {
   std::lock_guard<std::mutex> lock(m_);
   if (state() != State::kSleeping) return false;
+  sched_.arm_demand_gate();
   wake_pending_ = true;
   cv_.notify_one();
   return true;
@@ -96,6 +97,8 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     state_.store(static_cast<int>(State::kSleeping),
                  std::memory_order_release);
   }
+  sched_.sleepers_.fetch_add(1, std::memory_order_relaxed);
+  sched_.arm_demand_gate();
   if (mode_space_shares(sched_.mode())) {
     // CAS-guarded: fails harmlessly when the core was reclaimed from us.
     sched_.table()->release(id_, sched_.pid());
@@ -109,6 +112,7 @@ void Worker::go_to_sleep(bool count_as_eviction) {
     wake_pending_ = false;
     state_.store(static_cast<int>(State::kActive), std::memory_order_release);
   }
+  sched_.sleepers_.fetch_sub(1, std::memory_order_relaxed);
   ++stats_.wakes;
   if (sched_.config().adaptive_t_sleep && !sched_.shutdown_requested()) {
     // Adaptive T_SLEEP (§6 extension): a sleep cut short means the

@@ -121,7 +121,8 @@ class Worker {
 
   /// Coordinator-side wake. Returns true iff the worker was sleeping and
   /// has now been signalled (the caller must already have secured the
-  /// worker's core in the allocation table for DWS).
+  /// worker's core in the allocation table for DWS). A successful wake
+  /// re-arms the scheduler's demand gate before signalling.
   bool wake() noexcept;
 
   /// Wake the worker for shutdown regardless of state.

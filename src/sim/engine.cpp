@@ -134,6 +134,9 @@ struct SimEngine::Impl {
   std::vector<TimelineSample> timeline;
   std::vector<TraceEvent> trace;
   bool trace_truncated = false;
+  // DWS_SIM_TRACE=<non-empty> prints every coordinator decision to stderr;
+  // read once here, not on every simulated tick.
+  bool debug_ticks = false;
 
   void emit(TraceKind kind, unsigned prog, CoreId core,
             NodeId node = kNoNode) {
@@ -176,6 +179,8 @@ struct SimEngine::Impl {
     }
     rng = util::Xoshiro256(params.seed);
     topo = params.topology();
+    const char* dbg = std::getenv("DWS_SIM_TRACE");
+    debug_ticks = dbg != nullptr && *dbg != '\0';
 
     table_storage = std::make_unique<CoreTableLocal>(k, m);
     table = &table_storage->table();
@@ -845,7 +850,7 @@ struct SimEngine::Impl {
     }
 
     const WakeDecision d = p.policy.decide(s);
-    if (const char* dbg = getenv("DWS_SIM_TRACE"); dbg && *dbg) {
+    if (debug_ticks) {
       fprintf(stderr, "t=%.1fms p=%u Nb=%llu Na=%u slp=%u Nf=%u Nr=%u -> free=%u recl=%u\n",
               now/1000.0, pi, (unsigned long long)s.queued_tasks, s.active_workers,
               s.sleeping_workers, s.free_cores, s.reclaimable_cores,

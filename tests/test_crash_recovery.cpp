@@ -302,6 +302,19 @@ TEST(CrashRecovery, StridedLayoutCorpseSweepLeavesInterleavedSurvivorAlone) {
   EXPECT_EQ(t.count_active(me), kCores / 2);
 }
 
+// A self-renewing task chain: each link spawns its successor before its
+// own work, so a program running a few more chains than it has workers
+// never runs dry, no worker reaches T_SLEEP, and no core is released.
+struct BusyChain {
+  rt::Scheduler* sched;
+  rt::TaskGroup* group;
+  void operator()() const {
+    sched->spawn(*group, BusyChain{*this});
+    volatile std::int64_t acc = 0;
+    for (int i = 0; i < 20000; ++i) acc = acc + i;
+  }
+};
+
 // ---------------------------------------------------------------------------
 // The headline end-to-end scenario: two full Scheduler instances co-run
 // as separate OS processes over the shm table; one is SIGKILLed while
@@ -329,16 +342,25 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
       CoreTableShm shm(name, kCores, 2);
       rt::Scheduler sched(cfg, &shm.table());
       // Keep workers busy forever so the victim holds cores at kill time.
+      // (Separate parallel_for rounds are not enough: between rounds every
+      // worker can fall asleep and release its cores, and a victim killed
+      // then leaves the survivor nothing to sweep.)
       std::thread pump([&] {
-        for (;;) {
-          rt::parallel_for_each_index(sched, 0, 64, 1, [](std::int64_t) {
-            volatile std::int64_t acc = 0;
-            for (int i = 0; i < 20000; ++i) acc += i;
-          });
-        }
+        rt::TaskGroup group;
+        sched.run([&] {
+          for (int i = 0; i < 8; ++i) {
+            sched.spawn(group, BusyChain{&sched, &group});
+          }
+        });
+        sched.wait(group);  // never returns: the chains never end
       });
       pump.detach();
-      while (shm.table().count_active(sched.pid()) == 0) {
+      // The home cores are claimed at construction, before any work runs,
+      // and an idle worker releases its core within a few failed steals:
+      // wait until the chains run (from then on no worker sleeps) and a
+      // core is held.
+      while (sched.stats().totals.tasks_executed < 64 ||
+             shm.table().count_active(sched.pid()) == 0) {
         std::this_thread::sleep_for(std::chrono::microseconds(100));
       }
       flags.raise(0);  // crash point: actively working, cores held

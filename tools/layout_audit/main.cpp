@@ -158,6 +158,8 @@ struct Access {
       DWS_AUDIT_FIELD(inbox_size_, "shared");
       DWS_AUDIT_FIELD(external_spawns_, "shared");
       DWS_AUDIT_FIELD(total_pending_, "shared");
+      DWS_AUDIT_FIELD(sleepers_, "shared");
+      DWS_AUDIT_FIELD(demand_armed_, "shared");
       DWS_AUDIT_FIELD(gate_m_, "shared");
       DWS_AUDIT_FIELD(gate_cv_, "shared");
       DWS_AUDIT_FIELD(shutdown_, "shared");
@@ -177,6 +179,7 @@ struct Access {
       DWS_AUDIT_FIELD(m_, "shared");
       DWS_AUDIT_FIELD(cv_, "shared");
       DWS_AUDIT_FIELD(stop_requested_, "shared");
+      DWS_AUDIT_FIELD(nudge_pending_, "shared");
       DWS_AUDIT_FIELD(ticks_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(wakes_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(cores_claimed_, "owned_by:coordinator");
