@@ -34,7 +34,6 @@
 //
 // Exit status: 0 when every leg is within bound, 1 otherwise. The JSON
 // artifact records every leg either way.
-#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -56,6 +55,7 @@ int main() {
 
 #else  // DWS_RACE_DISABLED
 
+#include "ab.hpp"
 #include "apps/app.hpp"
 #include "race/spbags.hpp"
 #include "runtime/api.hpp"
@@ -64,6 +64,7 @@ int main() {
 namespace {
 
 using namespace dws;
+using bench::json_stats;
 
 Config config_for(race::Mode m) {
   Config cfg;
@@ -101,16 +102,6 @@ struct Leg {
   bool within = false;
   bool clean = true;     // deadlock analysis stayed clean on every rep
 };
-
-double cv(const util::Samples& s) {
-  return s.mean() > 0.0 ? s.stddev() / s.mean() : 0.0;
-}
-
-void json_stats(std::ostream& os, const char* key, const util::Samples& s) {
-  os << "    \"" << key << "\": {\"mean\": " << s.mean()
-     << ", \"stddev\": " << s.stddev() << ", \"cv\": " << cv(s)
-     << ", \"n\": " << s.count() << "}";
-}
 
 }  // namespace
 
@@ -157,19 +148,22 @@ int main(int argc, char** argv) {
         race::Replay replay(sched, mode, /*check_deadlocks=*/false);
         wl.body();
       }
-      for (int r = 0; r < reps; ++r) {
-        for (bool check : {false, true}) {
-          util::Stopwatch sw;
-          race::Replay replay(sched, mode, check);
-          wl.body();
-          const auto& dl = replay.deadlocks();  // finish() inside the timing
-          const double ms = sw.elapsed_ms();
-          (check ? leg.on_ms : leg.off_ms).add(ms);
-          if (check && !dl.clean()) leg.clean = false;
-        }
-      }
-      const double band = 3.0 * std::max(cv(leg.on_ms), cv(leg.off_ms));
-      leg.bound = 1.0 + band + tolerance;
+      auto timed = [&](bool check) {
+        util::Stopwatch sw;
+        race::Replay replay(sched, mode, check);
+        wl.body();
+        const auto& dl = replay.deadlocks();  // finish() inside the timing
+        const double ms = sw.elapsed_ms();
+        if (check && !dl.clean()) leg.clean = false;
+        return ms;
+      };
+      bench::alternate(
+          reps, [&] { return timed(false); }, [&] { return timed(true); },
+          [&](double off, double on) {
+            leg.off_ms.add(off);
+            leg.on_ms.add(on);
+          });
+      leg.bound = bench::ab_bound(leg.on_ms, leg.off_ms, tolerance);
       leg.ratio = leg.off_ms.mean() > 0.0
                       ? leg.on_ms.mean() / leg.off_ms.mean()
                       : 0.0;

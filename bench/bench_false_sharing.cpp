@@ -34,7 +34,6 @@
 //
 // Exit status: 0 when every leg is within bound, 1 otherwise. The JSON
 // artifact records every leg either way.
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <fstream>
@@ -43,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "ab.hpp"
 #include "core/core_ops.hpp"
 #include "runtime/deque.hpp"
 #include "util/cli.hpp"
@@ -53,16 +53,7 @@
 namespace {
 
 using namespace dws;
-
-double cv(const util::Samples& s) {
-  return s.mean() > 0.0 ? s.stddev() / s.mean() : 0.0;
-}
-
-void json_stats(std::ostream& os, const char* key, const util::Samples& s) {
-  os << "    \"" << key << "\": {\"mean\": " << s.mean()
-     << ", \"stddev\": " << s.stddev() << ", \"cv\": " << cv(s)
-     << ", \"n\": " << s.count() << "}";
-}
+using bench::json_stats;
 
 // ------------------------------------------------------------- churn leg
 
@@ -184,18 +175,12 @@ Leg run_leg(const char* name, const char* unit, int reps, int warmup,
   Leg leg;
   leg.workload = name;
   leg.unit = unit;
-  // Packed/fixed reps alternate so scheduler drift lands on both legs
-  // equally; warm-up reps absorb cold caches and thread-pool ramp-up.
-  for (int r = 0; r < warmup; ++r) {
-    packed();
-    fixed();
-  }
-  for (int r = 0; r < reps; ++r) {
-    leg.packed_ns.add(packed());
-    leg.fixed_ns.add(fixed());
-  }
-  const double band = 3.0 * std::max(cv(leg.packed_ns), cv(leg.fixed_ns));
-  leg.bound = 1.0 + band + tolerance;
+  bench::warm_up(warmup, packed, fixed);
+  bench::alternate(reps, packed, fixed, [&](double p, double f) {
+    leg.packed_ns.add(p);
+    leg.fixed_ns.add(f);
+  });
+  leg.bound = bench::ab_bound(leg.packed_ns, leg.fixed_ns, tolerance);
   leg.speedup = leg.fixed_ns.mean() > 0.0
                     ? leg.packed_ns.mean() / leg.fixed_ns.mean()
                     : 0.0;

@@ -29,7 +29,6 @@
 //          [--block=32] [--tolerance=0.25] [--out=BENCH_locality.json]
 //
 // Exit status: 0 when every leg is within bound, 1 otherwise.
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -38,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "ab.hpp"
 #include "apps/blocked_linalg.hpp"
 #include "core/topology.hpp"
 #include "runtime/scheduler.hpp"
@@ -50,16 +50,7 @@
 namespace {
 
 using namespace dws;
-
-double cv(const util::Samples& s) {
-  return s.mean() > 0.0 ? s.stddev() / s.mean() : 0.0;
-}
-
-void json_stats(std::ostream& os, const char* key, const util::Samples& s) {
-  os << "    \"" << key << "\": {\"mean\": " << s.mean()
-     << ", \"stddev\": " << s.stddev() << ", \"cv\": " << cv(s)
-     << ", \"n\": " << s.count() << "}";
-}
+using bench::json_stats;
 
 /// The paper's 2-socket testbed with NUMA steal-transfer costs enabled.
 /// Same-socket steals are near-free; crossing the interconnect costs a
@@ -174,17 +165,12 @@ Leg run_leg(const char* name, const char* unit, int reps, int warmup,
   Leg leg;
   leg.workload = name;
   leg.unit = unit;
-  // A/B reps alternate so host drift lands on both policies equally.
-  for (int r = 0; r < warmup; ++r) {
-    uniform();
-    tiered();
-  }
-  for (int r = 0; r < reps; ++r) {
-    leg.uniform.add(uniform());
-    leg.tiered.add(tiered());
-  }
-  const double band = 3.0 * std::max(cv(leg.uniform), cv(leg.tiered));
-  leg.bound = 1.0 + band + tolerance;
+  bench::warm_up(warmup, uniform, tiered);
+  bench::alternate(reps, uniform, tiered, [&](double u, double t) {
+    leg.uniform.add(u);
+    leg.tiered.add(t);
+  });
+  leg.bound = bench::ab_bound(leg.uniform, leg.tiered, tolerance);
   leg.speedup =
       leg.tiered.mean() > 0.0 ? leg.uniform.mean() / leg.tiered.mean() : 0.0;
   leg.within = leg.tiered.mean() <= leg.uniform.mean() * leg.bound;

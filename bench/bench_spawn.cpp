@@ -47,6 +47,7 @@
 #include <thread>
 #include <vector>
 
+#include "ab.hpp"
 #include "runtime/deque.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/cli.hpp"
@@ -56,6 +57,7 @@
 namespace {
 
 using namespace dws;
+using bench::json_stats;
 
 constexpr long kGrowPushes = 4096;  // per cold deque: 11 grows from 2
 
@@ -66,16 +68,6 @@ Config spawn_config(unsigned cores, bool pooled) {
   cfg.pin_threads = false;
   cfg.pool_tasks = pooled;
   return cfg;
-}
-
-double cv(const util::Samples& s) {
-  return s.mean() > 0.0 ? s.stddev() / s.mean() : 0.0;
-}
-
-void json_stats(std::ostream& os, const char* key, const util::Samples& s) {
-  os << "    \"" << key << "\": {\"mean\": " << s.mean()
-     << ", \"stddev\": " << s.stddev() << ", \"cv\": " << cv(s)
-     << ", \"n\": " << s.count() << "}";
 }
 
 /// One timed rep on `sched`: spawn `tasks` empty tasks from a root task,
@@ -122,22 +114,19 @@ SpawnLeg run_spawn_leg(const char* name, unsigned cores, int reps,
   rt::Scheduler heap_sched(spawn_config(cores, /*pooled=*/false));
   rt::Scheduler pooled_sched(spawn_config(cores, /*pooled=*/true));
 
-  for (int r = 0; r < warmup; ++r) {
-    spawn_batch_rep(heap_sched, tasks);
-    spawn_batch_rep(pooled_sched, tasks);
-  }
+  auto heap = [&] { return spawn_batch_rep(heap_sched, tasks); };
+  auto pooled = [&] { return spawn_batch_rep(pooled_sched, tasks); };
+  bench::warm_up(warmup, heap, pooled);
   // Post-warm-up baseline: everything from here on is steady state.
   const rt::TaskAllocStats heap0 = heap_sched.alloc_stats();
   const rt::TaskAllocStats pooled0 = pooled_sched.alloc_stats();
 
-  for (int r = 0; r < reps; ++r) {
-    const RepTimes h = spawn_batch_rep(heap_sched, tasks);
+  bench::alternate(reps, heap, pooled, [&](RepTimes h, RepTimes p) {
     leg.heap_spawn_ns.add(h.spawn_ns);
     leg.heap_task_ns.add(h.task_ns);
-    const RepTimes p = spawn_batch_rep(pooled_sched, tasks);
     leg.pooled_spawn_ns.add(p.spawn_ns);
     leg.pooled_task_ns.add(p.task_ns);
-  }
+  });
 
   const rt::TaskAllocStats heap1 = heap_sched.alloc_stats();
   const rt::TaskAllocStats pooled1 = pooled_sched.alloc_stats();
@@ -149,9 +138,8 @@ SpawnLeg run_spawn_leg(const char* name, unsigned cores, int reps,
       static_cast<double>(leg.pooled_steady_slab_allocs) / n;
   leg.zero_alloc_steady_state = leg.pooled_steady_slab_allocs == 0;
 
-  const double band =
-      3.0 * std::max(cv(leg.heap_spawn_ns), cv(leg.pooled_spawn_ns));
-  leg.bound = 1.0 + band + tolerance;
+  leg.bound =
+      bench::ab_bound(leg.heap_spawn_ns, leg.pooled_spawn_ns, tolerance);
   leg.speedup = leg.pooled_spawn_ns.mean() > 0.0
                     ? leg.heap_spawn_ns.mean() / leg.pooled_spawn_ns.mean()
                     : 0.0;

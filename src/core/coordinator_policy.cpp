@@ -50,15 +50,8 @@ WakeDecision CoordinatorPolicy::decide(const DemandSnapshot& s) const noexcept {
 }
 
 CoordinatorDriver::CoordinatorDriver(CoreTable& table, ProgramId pid,
-                                     std::uint64_t seed)
-    : CoordinatorDriver(table, pid, seed, nullptr, 0) {}
-
-CoordinatorDriver::CoordinatorDriver(CoreTable& table, ProgramId pid,
-                                     std::uint64_t seed, const Topology* topo,
-                                     CoreId home_core)
-    : table_(&table), pid_(pid), topo_(topo), home_core_(home_core) {
-  (void)seed;  // selection is deterministic now; see class comment
-}
+                                     const Topology* topo, CoreId home_core)
+    : table_(&table), pid_(pid), topo_(topo), home_core_(home_core) {}
 
 DemandSnapshot CoordinatorDriver::snapshot_cores() const noexcept {
   DemandSnapshot s;

@@ -8,7 +8,8 @@
 //
 // Like StealPolicy this is pure, platform-independent logic shared by the
 // thread runtime and the simulator. The table-touching part (which
-// concrete cores to claim/reclaim) lives in CoordinatorDriver.
+// concrete cores to claim/reclaim) lives in CoordinatorDriver, and
+// coordinator_step composes the two into the tick both executors run.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/core_table.hpp"
+#include "core/counters.hpp"
 #include "core/topology.hpp"
 #include "core/types.hpp"
 
@@ -85,15 +87,11 @@ struct AcquireResult {
 /// ranges rather than interleaving at random.
 class CoordinatorDriver {
  public:
-  /// `seed` is retained for constructor-signature stability (selection
-  /// used to be randomized); it is no longer consumed.
-  CoordinatorDriver(CoreTable& table, ProgramId pid, std::uint64_t seed);
-
-  /// Topology-aware ordering: candidates are ranked by distance tier from
-  /// `home_core` (the program's home-partition anchor), then core id.
-  /// `topo`, when non-null, must outlive the driver.
-  CoordinatorDriver(CoreTable& table, ProgramId pid, std::uint64_t seed,
-                    const Topology* topo, CoreId home_core);
+  /// With `topo`, candidates are ranked by distance tier from `home_core`
+  /// (the program's home-partition anchor), then core id; without it, by
+  /// core id alone. `topo`, when non-null, must outlive the driver.
+  CoordinatorDriver(CoreTable& table, ProgramId pid,
+                    const Topology* topo = nullptr, CoreId home_core = 0);
 
   /// Build the table-derived half of a demand snapshot (N_f, N_r).
   [[nodiscard]] DemandSnapshot snapshot_cores() const noexcept;
@@ -112,6 +110,42 @@ class CoordinatorDriver {
   const Topology* topo_ = nullptr;
   CoreId home_core_ = 0;
 };
+
+// ---- One coordinator tick ----
+
+/// What one coordinator step secured: with a driver, the cores whose
+/// sleeping worker the caller wakes (claimed, then reclaimed); without one
+/// (DWS-NC), how many sleeping workers to wake wherever they are.
+struct StepWakes {
+  AcquireResult cores;
+  unsigned in_place = 0;
+};
+
+/// One §3.3 coordinator step, shared by the runtime's Coordinator and the
+/// simulator. `demand` carries the executor's half of the snapshot (N_b,
+/// N_a, sleeping workers); the step takes N_f and N_r from `driver`, or
+/// without one lets every sleeper be woken in place (the OS time-shares
+/// the cores underneath, §4.2). `reclaim == false` zeroes N_r (the
+/// take-back ablation). It counts the tick and its grants into
+/// `counters`; the caller counts `coordinator_wakes` as it wakes.
+template <typename Counter>
+StepWakes coordinator_step(const CoordinatorPolicy& policy,
+                           CoordinatorDriver* driver, DemandSnapshot demand,
+                           CoordinatorEvents<Counter>& counters,
+                           bool reclaim = true) {
+  ++counters.coordinator_ticks;
+  if (driver == nullptr) {
+    demand.free_cores = demand.sleeping_workers;
+    return StepWakes{{}, policy.decide(demand).total()};
+  }
+  const DemandSnapshot cores = driver->snapshot_cores();
+  demand.free_cores = cores.free_cores;
+  demand.reclaimable_cores = reclaim ? cores.reclaimable_cores : 0;
+  StepWakes wakes{driver->acquire(policy.decide(demand))};
+  counters.cores_claimed += wakes.cores.claimed.size();
+  counters.cores_reclaimed += wakes.cores.reclaimed.size();
+  return wakes;
+}
 
 // ---- Crash tolerance: stale-owner sweeping ----
 

@@ -9,6 +9,8 @@
 // paper's actual contribution.
 #pragma once
 
+#include <climits>
+
 #include "core/types.hpp"
 
 namespace dws {
@@ -93,5 +95,27 @@ class StealPolicy {
   int t_sleep_;
   int failed_steals_ = 0;
 };
+
+// ---- Adaptive T_SLEEP (§6 extension) ----
+//
+// A program-wide threshold starts at the configured base. A sleep cut
+// short (the worker was woken within the short-sleep horizon) means the
+// threshold fired prematurely, so it escalates; each coordinator period
+// decays it back toward the base. The runtime and the simulator both
+// apply exactly these two steps.
+
+/// Double `cur` (0 becomes 1), capped at 64x `base` (64 when base is 0).
+/// Overflow-safe for any configured base.
+[[nodiscard]] constexpr int escalated_t_sleep(int cur, int base) noexcept {
+  const int cap = base <= 0 ? 64 : base > INT_MAX / 64 ? INT_MAX : 64 * base;
+  if (cur <= 0) return 1;
+  return cur > cap / 2 ? cap : cur * 2;
+}
+
+/// Decay `cur` by 3% (truncated), never below `base`.
+[[nodiscard]] constexpr int decayed_t_sleep(int cur, int base) noexcept {
+  const int next = static_cast<int>(cur * 0.97);
+  return next > base ? next : base;
+}
 
 }  // namespace dws

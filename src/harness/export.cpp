@@ -6,22 +6,24 @@
 namespace dws::harness {
 
 void write_programs_csv(std::ostream& os, const sim::SimResult& result) {
-  os << "name,mean_run_time_us,run_times_us,tasks_executed,steals,"
-        "failed_steals,yields,sleeps,wakes,evictions,coordinator_ticks,"
-        "cores_claimed,cores_reclaimed,exec_time_us,cache_penalty_us,"
-        "steal_overhead_us\n";
+  // Counter columns come from the shared field lists (core/counters.hpp).
+  auto counters = [](const sim::ProgramResult& p, auto&& f) {
+    WorkerCounters::for_each(f, p);
+    CoordinatorCounters::for_each(f, p);
+  };
+  os << "name,mean_run_time_us,run_times_us";
+  counters(sim::ProgramResult{},
+           [&](const char* name, const auto&) { os << ',' << name; });
+  os << ",exec_time_us,cache_penalty_us,steal_overhead_us,migration_us\n";
   for (const auto& p : result.programs) {
     os << p.name << ',' << p.mean_run_time_us << ',';
     for (std::size_t i = 0; i < p.run_times_us.size(); ++i) {
       if (i > 0) os << ';';
       os << p.run_times_us[i];
     }
-    os << ',' << p.tasks_executed << ',' << p.steals << ','
-       << p.failed_steals << ',' << p.yields << ',' << p.sleeps << ','
-       << p.wakes << ',' << p.evictions << ',' << p.coordinator_ticks << ','
-       << p.cores_claimed << ',' << p.cores_reclaimed << ','
-       << p.exec_time_us << ',' << p.cache_penalty_us << ','
-       << p.steal_overhead_us << '\n';
+    counters(p, [&](const char*, const auto& v) { os << ',' << v; });
+    os << ',' << p.exec_time_us << ',' << p.cache_penalty_us << ','
+       << p.steal_overhead_us << ',' << p.migration_us << '\n';
   }
 }
 

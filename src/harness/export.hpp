@@ -12,7 +12,8 @@
 namespace dws::harness {
 
 /// One row per program: name, mean run time, per-repetition times joined
-/// by ';', and the full stat counters.
+/// by ';', every shared counter (WorkerCounters, then CoordinatorCounters)
+/// and the simulator's timings.
 void write_programs_csv(std::ostream& os, const sim::SimResult& result);
 
 /// One row per timeline sample: t_us, one active-count column per

@@ -7,7 +7,7 @@
 namespace dws::rt {
 
 Coordinator::Coordinator(Scheduler& sched, double period_ms,
-                         double wake_threshold, std::uint64_t seed)
+                         double wake_threshold)
     : sched_(sched), period_ms_(period_ms), policy_(wake_threshold) {
   if (mode_space_shares(sched_.mode())) {
     // Anchor the topology-aware ordering at the program's first home core
@@ -19,10 +19,8 @@ Coordinator::Coordinator(Scheduler& sched, double period_ms,
         break;
       }
     }
-    driver_ = std::make_unique<CoordinatorDriver>(*sched_.table(),
-                                                  sched_.pid(), seed,
-                                                  &sched_.topology(),
-                                                  home_core);
+    driver_ = std::make_unique<CoordinatorDriver>(
+        *sched_.table(), sched_.pid(), &sched_.topology(), home_core);
     if (sched_.config().stale_after_periods > 0) {
       sweeper_ = std::make_unique<StaleSweeper>(
           *sched_.table(), sched_.pid(), sched_.config().stale_after_periods);
@@ -75,7 +73,6 @@ void Coordinator::nudge() noexcept {
 }
 
 void Coordinator::tick(bool periodic) {
-  ticks_.fetch_add(1, std::memory_order_relaxed);
   if (periodic) {
     if (sched_.config().adaptive_t_sleep) sched_.decay_t_sleep();
     if (driver_ != nullptr) {
@@ -98,50 +95,26 @@ void Coordinator::tick(bool periodic) {
   }
 
   DemandSnapshot s;
-  s.queued_tasks = sched_.queued_tasks();          // N_b
-  s.active_workers = sched_.active_workers();      // N_a
+  s.queued_tasks = sched_.queued_tasks();      // N_b
+  s.active_workers = sched_.active_workers();  // N_a
   s.sleeping_workers = sched_.sleeping_workers();
-  if (driver_ != nullptr) {
-    const DemandSnapshot cores = driver_->snapshot_cores();
-    s.free_cores = cores.free_cores;               // N_f
-    s.reclaimable_cores = cores.reclaimable_cores; // N_r
-  } else {
-    // DWS-NC: no core exchange; every sleeping worker can be woken in
-    // place (the OS time-shares the cores underneath, §4.2).
-    s.free_cores = s.sleeping_workers;
-    s.reclaimable_cores = 0;
-  }
-
-  const WakeDecision d = policy_.decide(s);
-  if (d.total() > 0) wake(d);
+  wake(coordinator_step(policy_, driver_.get(), s, counters_));
   // Once per period a spawn may trigger a demand step even when the last
   // one could not win a core (sleeps and wakes re-arm it otherwise).
   if (periodic) sched_.arm_demand_gate();
 }
 
-void Coordinator::wake(const WakeDecision& d) {
-  if (driver_ != nullptr) {
-    const AcquireResult won = driver_->acquire(d);
-    cores_claimed_.fetch_add(won.claimed.size(), std::memory_order_relaxed);
-    cores_reclaimed_.fetch_add(won.reclaimed.size(),
-                               std::memory_order_relaxed);
-    for (CoreId c : won.claimed) {
-      if (sched_.worker_at(c).wake()) {
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-      }
+void Coordinator::wake(const StepWakes& wakes) {
+  for (const auto* cores : {&wakes.cores.claimed, &wakes.cores.reclaimed}) {
+    for (CoreId c : *cores) {
+      if (sched_.worker_at(c).wake()) ++counters_.coordinator_wakes;
     }
-    for (CoreId c : won.reclaimed) {
-      if (sched_.worker_at(c).wake()) {
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    unsigned need = d.total();
-    for (unsigned i = 0; i < sched_.num_workers() && need > 0; ++i) {
-      if (sched_.worker_at(i).wake()) {
-        --need;
-        wakes_.fetch_add(1, std::memory_order_relaxed);
-      }
+  }
+  unsigned need = wakes.in_place;
+  for (unsigned i = 0; i < sched_.num_workers() && need > 0; ++i) {
+    if (sched_.worker_at(i).wake()) {
+      --need;
+      ++counters_.coordinator_wakes;
     }
   }
 }

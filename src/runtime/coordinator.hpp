@@ -18,6 +18,7 @@
 #include <thread>
 
 #include "core/coordinator_policy.hpp"
+#include "core/counters.hpp"
 #include "core/types.hpp"
 #include "util/layout.hpp"
 
@@ -27,8 +28,7 @@ class Scheduler;
 
 class Coordinator {
  public:
-  Coordinator(Scheduler& sched, double period_ms, double wake_threshold,
-              std::uint64_t seed);
+  Coordinator(Scheduler& sched, double period_ms, double wake_threshold);
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
   ~Coordinator();
@@ -50,17 +50,10 @@ class Coordinator {
   /// after it instead of being lost until the next period.
   void nudge() noexcept;
 
-  [[nodiscard]] std::uint64_t ticks() const noexcept {
-    return ticks_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t wakes() const noexcept {
-    return wakes_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t cores_claimed() const noexcept {
-    return cores_claimed_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t cores_reclaimed() const noexcept {
-    return cores_reclaimed_.load(std::memory_order_relaxed);
+  /// Live tick, wake and core-grant counts (relaxed; see RelaxedCounter).
+  [[nodiscard]] const CoordinatorEvents<RelaxedCounter>& counters()
+      const noexcept {
+    return counters_;
   }
   /// Co-running programs this coordinator has declared dead and swept.
   [[nodiscard]] std::uint64_t stale_programs_swept() const noexcept {
@@ -75,8 +68,9 @@ class Coordinator {
   friend struct dws::layout::Access;  // layout_audit reads private layouts
 
   void thread_main();
-  /// Secure the decided cores and wake the workers on them.
-  void wake(const WakeDecision& d);
+  /// Wake the sleeping worker on each won core, or `wakes.in_place`
+  /// sleeping workers wherever they are (DWS-NC).
+  void wake(const StepWakes& wakes);
 
   Scheduler& sched_;
   const double period_ms_;
@@ -96,10 +90,7 @@ class Coordinator {
   // Monitoring counters, written by the coordinator thread alone on its
   // ticks and read racily by stats snapshots.
   alignas(layout::kCacheLineBytes) DWS_OWNED_BY(coordinator)
-      std::atomic<std::uint64_t> ticks_{0};
-  DWS_OWNED_BY(coordinator) std::atomic<std::uint64_t> wakes_{0};
-  DWS_OWNED_BY(coordinator) std::atomic<std::uint64_t> cores_claimed_{0};
-  DWS_OWNED_BY(coordinator) std::atomic<std::uint64_t> cores_reclaimed_{0};
+      CoordinatorEvents<RelaxedCounter> counters_;
   DWS_OWNED_BY(coordinator) std::atomic<std::uint64_t> stale_programs_swept_{0};
   DWS_OWNED_BY(coordinator) std::atomic<std::uint64_t> cores_recovered_{0};
 };

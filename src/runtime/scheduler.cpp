@@ -50,8 +50,7 @@ Scheduler::Scheduler(const Config& cfg, CoreTable* shared_table) : cfg_(cfg) {
 
   if (mode_sleeps(cfg_.mode)) {
     coordinator_ = std::make_unique<Coordinator>(
-        *this, cfg_.coordinator_period_ms, cfg_.wake_threshold,
-        cfg_.seed ^ 0xC00D1E5EULL);
+        *this, cfg_.coordinator_period_ms, cfg_.wake_threshold);
     coordinator_->start();
   }
 }
@@ -228,22 +227,21 @@ unsigned Scheduler::sleeping_workers() const noexcept {
 
 void Scheduler::escalate_t_sleep() noexcept {
   const int base = cfg_.effective_t_sleep(cfg_.num_cores);
-  const int cap = base > 0 ? 64 * base : 64;
   int cur = cur_t_sleep_.load(std::memory_order_relaxed);
-  int next = std::min(cap, cur > 0 ? cur * 2 : 1);
+  int next = escalated_t_sleep(cur, base);
   while (next > cur && !cur_t_sleep_.compare_exchange_weak(
                            cur, next, std::memory_order_relaxed)) {
-    next = std::min(cap, cur > 0 ? cur * 2 : 1);
+    next = escalated_t_sleep(cur, base);
   }
 }
 
 void Scheduler::decay_t_sleep() noexcept {
   const int base = cfg_.effective_t_sleep(cfg_.num_cores);
   int cur = cur_t_sleep_.load(std::memory_order_relaxed);
-  int next = std::max(base, static_cast<int>(cur * 0.97));
+  int next = decayed_t_sleep(cur, base);
   while (next < cur && !cur_t_sleep_.compare_exchange_weak(
                            cur, next, std::memory_order_relaxed)) {
-    next = std::max(base, static_cast<int>(cur * 0.97));
+    next = decayed_t_sleep(cur, base);
   }
 }
 
@@ -251,27 +249,11 @@ SchedulerStats Scheduler::stats() const {
   SchedulerStats s;
   s.per_worker.reserve(workers_.size());
   for (const auto& w : workers_) {
-    const WorkerStats& ws = w->stats();
-    s.per_worker.push_back(ws);
-    s.totals.tasks_executed += ws.tasks_executed;
-    s.totals.steal_attempts += ws.steal_attempts;
-    s.totals.steals += ws.steals;
-    s.totals.failed_steals += ws.failed_steals;
-    s.totals.yields += ws.yields;
-    s.totals.sleeps += ws.sleeps;
-    s.totals.wakes += ws.wakes;
-    s.totals.evictions += ws.evictions;
-    s.totals.heap_spawns += ws.heap_spawns;
-    for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      s.totals.steal_attempts_by_tier[t] += ws.steal_attempts_by_tier[t];
-      s.totals.steals_by_tier[t] += ws.steals_by_tier[t];
-    }
+    s.per_worker.push_back(w->stats());
+    s.totals += s.per_worker.back();
   }
   if (coordinator_) {
-    s.coordinator_ticks = coordinator_->ticks();
-    s.coordinator_wakes = coordinator_->wakes();
-    s.cores_claimed = coordinator_->cores_claimed();
-    s.cores_reclaimed = coordinator_->cores_reclaimed();
+    s += coordinator_->counters();
     s.stale_programs_swept = coordinator_->stale_programs_swept();
     s.cores_recovered = coordinator_->cores_recovered();
   }

@@ -19,6 +19,7 @@
 
 #include "core/config.hpp"
 #include "core/core_table.hpp"
+#include "core/counters.hpp"
 #include "core/topology.hpp"
 #include "core/types.hpp"
 #include "runtime/coordinator.hpp"
@@ -29,14 +30,11 @@
 
 namespace dws::rt {
 
-/// Aggregated snapshot of all workers' counters plus scheduler-level ones.
-struct SchedulerStats {
+/// Snapshot of the coordinator's counters and of every worker's, with
+/// their sum in `totals`.
+struct SchedulerStats : CoordinatorCounters {
   WorkerStats totals;
   std::vector<WorkerStats> per_worker;
-  std::uint64_t coordinator_ticks = 0;
-  std::uint64_t coordinator_wakes = 0;
-  std::uint64_t cores_claimed = 0;
-  std::uint64_t cores_reclaimed = 0;
   std::uint64_t stale_programs_swept = 0;  ///< dead co-runners recovered from
   std::uint64_t cores_recovered = 0;       ///< their cores returned to free
 };

@@ -64,7 +64,6 @@ TaskBase* Worker::find_task() {
   // edge (kNoVictim / rng_.next_below(0) has no valid draw).
   const unsigned n = sched_.num_workers();
   if (n <= 1) return nullptr;
-  ++stats_.steal_attempts;
   VictimPick pick;
   if (sched_.config().victim_policy == VictimPolicy::kTiered) {
     pick = victim_order_.next(rng_);
@@ -72,6 +71,8 @@ TaskBase* Worker::find_task() {
     pick.victim = uniform_victim(rng_, n, id_);
     pick.tier = sched_.topology().distance(id_, pick.victim);
   }
+  // Every attempt ends in one steals or failed_steals bump below, which
+  // is all steal_attempts is derived from; only its tier is counted here.
   ++stats_.steal_attempts_by_tier[static_cast<int>(pick.tier)];
   if (auto t = sched_.workers_[pick.victim]->deque_.steal()) {
     ++stats_.steals;

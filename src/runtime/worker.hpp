@@ -10,6 +10,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/counters.hpp"
 #include "core/steal_policy.hpp"
 #include "core/topology.hpp"
 #include "core/types.hpp"
@@ -24,74 +25,41 @@ namespace dws::rt {
 
 class Scheduler;
 
-/// Monotonic counter written by one owner thread and racily readable from
-/// others (relaxed atomics, so concurrent snapshots are well-defined but
-/// may lag). Copying takes a relaxed snapshot. Keeps plain-integer syntax
-/// so counting sites and reporting code read naturally.
-class RelaxedCounter {
- public:
-  RelaxedCounter() = default;
-  // Copying is an explicit relaxed load/store pair, exactly like
-  // assignment: the source may be a *live* counter still being bumped by
-  // its owner (Scheduler::stats() aggregates per-worker counters without
-  // quiescing), so the copy must go through the atomic — never a plain
-  // member copy, which would be a racy 64-bit read and could tear.
-  RelaxedCounter(const RelaxedCounter& o) noexcept {
-    v_.store(o.load(), std::memory_order_relaxed);
-  }
-  RelaxedCounter& operator=(const RelaxedCounter& o) noexcept {
-    v_.store(o.load(), std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator++() noexcept {
-    v_.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator+=(std::uint64_t n) noexcept {
-    v_.fetch_add(n, std::memory_order_relaxed);
-    return *this;
-  }
-  operator std::uint64_t() const noexcept { return load(); }  // NOLINT
-  [[nodiscard]] std::uint64_t load() const noexcept {
-    return v_.load(std::memory_order_relaxed);
-  }
-
- private:
-  // dws-layout: packed-ok single-field wrapper; each wrapping field
-  // declares the actual sharing domain (see WorkerStats)
-  std::atomic<std::uint64_t> v_{0};
-};
-
-/// Owner-written execution counters. Reads from other threads (coordinator
-/// snapshots, live Scheduler::stats() calls, test assertions) see relaxed
-/// monotonic values; exact totals are only guaranteed after the worker
-/// thread joined or the scheduler quiesced.
+/// A worker's live counters: the shared vocabulary (core/counters.hpp)
+/// plus the runtime-only ones, written by the worker thread alone and
+/// read racily by Scheduler::stats(). Exact totals are only guaranteed
+/// after the worker thread joined or the scheduler quiesced.
 ///
 /// The struct is cache-line aligned (and therefore padded to a line
 /// multiple) so the counters — bumped on every task execution and steal
 /// attempt — never share a line with whatever neighbouring Worker field a
 /// *different* thread writes; layout_audit tracks the concrete offsets.
-/// The nine counters packing two lines among themselves is deliberate:
-/// they have a single writer, so there is no destructive interference to
+/// The counters packing two lines among themselves is deliberate: they
+/// have a single writer, so there is no destructive interference to
 /// stride away, only the owner's own locality to keep.
-struct alignas(layout::kCacheLineBytes) WorkerStats {
-  DWS_OWNED_BY(worker) RelaxedCounter tasks_executed;
-  DWS_OWNED_BY(worker) RelaxedCounter steal_attempts;
-  DWS_OWNED_BY(worker) RelaxedCounter steals;
-  DWS_OWNED_BY(worker) RelaxedCounter failed_steals;
-  DWS_OWNED_BY(worker) RelaxedCounter yields;
-  DWS_OWNED_BY(worker) RelaxedCounter sleeps;
-  DWS_OWNED_BY(worker) RelaxedCounter wakes;
-  DWS_OWNED_BY(worker)
-  RelaxedCounter evictions;  ///< times this worker vacated a reclaimed core
-  DWS_OWNED_BY(worker)
-  RelaxedCounter heap_spawns;  ///< spawns that fell back to new (see pool)
-  /// Locality breakdown of the steal traffic, indexed by DistanceTier
-  /// (VERYNEAR..VERYFAR). Invariant (asserted by the stats suite): each
-  /// array sums to steal_attempts / steals respectively once the worker
-  /// quiesced. Same single-writer discipline as every counter above.
+struct alignas(layout::kCacheLineBytes) LiveWorkerStats
+    : WorkerEvents<RelaxedCounter> {
+  /// Steal attempts by the victim's DistanceTier. Runtime-only: one
+  /// simulated steal attempt sweeps victims across several tiers.
   DWS_OWNED_BY(worker) RelaxedCounter steal_attempts_by_tier[kNumDistanceTiers];
-  DWS_OWNED_BY(worker) RelaxedCounter steals_by_tier[kNumDistanceTiers];
+  /// Spawns that fell back to the heap; reported by alloc_stats().
+  DWS_OWNED_BY(worker) RelaxedCounter heap_spawns;
+};
+
+/// A snapshot of one worker's counters, or their sum over workers.
+struct WorkerStats : WorkerCounters {
+  /// Sums to steal_attempts (steals + failed_steals) once quiesced.
+  std::uint64_t steal_attempts_by_tier[kNumDistanceTiers] = {};
+
+  /// Add a live block (a relaxed snapshot of it) or another snapshot.
+  template <typename Stats>
+  WorkerStats& operator+=(const Stats& o) {
+    WorkerCounters::operator+=(o);
+    for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
+      steal_attempts_by_tier[t] += o.steal_attempts_by_tier[t];
+    }
+    return *this;
+  }
 };
 
 class Worker {
@@ -132,7 +100,12 @@ class Worker {
   [[nodiscard]] std::size_t queue_size() const noexcept {
     return deque_.size_approx();
   }
-  [[nodiscard]] const WorkerStats& stats() const noexcept { return stats_; }
+  /// A relaxed snapshot of this worker's counters.
+  [[nodiscard]] WorkerStats stats() const noexcept {
+    WorkerStats s;
+    s += stats_;
+    return s;
+  }
 
   /// This worker's task-storage pool (allocation is worker-thread-only;
   /// release may come from any thread via TaskSlabPool::release).
@@ -166,7 +139,7 @@ class Worker {
   StealPolicy policy_;
   ChaseLevDeque<TaskBase*> deque_;  // line-isolates its own hot words
   TaskSlabPool pool_;               // line-isolates its own hot words
-  WorkerStats stats_;               // alignas(64), owner-written only
+  LiveWorkerStats stats_;           // alignas(64), owner-written only
 
   std::thread thread_;
   // Wake domain: state_ is CASed/stored by the coordinator and the owner,

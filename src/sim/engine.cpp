@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <queue>
 #include <stdexcept>
@@ -50,10 +48,7 @@ struct SimEngine::Impl {
     NodeId mig_node = kNoNode;  // stolen task in flight during kMigrate
     double exec_work_left = 0.0;  // remaining *work* (unscaled) for kExec
     double seg_slowdown = 1.0;    // cache factor of the planned segment
-    // stats
-    std::uint64_t tasks = 0, steals = 0, failed = 0, yields = 0, sleeps = 0,
-                  wakes = 0, evictions = 0;
-    std::uint64_t steals_tier[kNumDistanceTiers] = {0, 0, 0, 0};
+    WorkerEvents<std::uint64_t> counts;
     double exec_time = 0.0, cache_penalty = 0.0, steal_overhead = 0.0;
     double mig_time = 0.0;  // transfer cost charged on cross-tier steals
     double slept_at = 0.0;  // time of the last sleep (adaptive T_SLEEP)
@@ -90,12 +85,12 @@ struct SimEngine::Impl {
     double run_start = 0.0;
     CoordinatorPolicy policy{1.0};
     std::unique_ptr<CoordinatorDriver> driver;
-    std::uint64_t ticks = 0, claims = 0, reclaims = 0, coord_wakes = 0;
+    CoordinatorCounters counts;
     CoreId start_core = 0;
     /// Work-sharing variant (§4.4): the per-program central task FIFO.
     std::deque<NodeId> central;
     /// Adaptive T_SLEEP extension: current program-wide threshold.
-    double cur_t_sleep = 0.0;
+    int cur_t_sleep = 0;
   };
 
   std::vector<WorkerSt> workers;  // [prog * k + core]
@@ -134,9 +129,6 @@ struct SimEngine::Impl {
   std::vector<TimelineSample> timeline;
   std::vector<TraceEvent> trace;
   bool trace_truncated = false;
-  // DWS_SIM_TRACE=<non-empty> prints every coordinator decision to stderr;
-  // read once here, not on every simulated tick.
-  bool debug_ticks = false;
 
   void emit(TraceKind kind, unsigned prog, CoreId core,
             NodeId node = kNoNode) {
@@ -179,8 +171,6 @@ struct SimEngine::Impl {
     }
     rng = util::Xoshiro256(params.seed);
     topo = params.topology();
-    const char* dbg = std::getenv("DWS_SIM_TRACE");
-    debug_ticks = dbg != nullptr && *dbg != '\0';
 
     table_storage = std::make_unique<CoreTableLocal>(k, m);
     table = &table_storage->table();
@@ -203,7 +193,7 @@ struct SimEngine::Impl {
       p2.pid = table->register_program();
       p2.base_joins = p2.spec.dag->join_counts();
       p2.policy = CoordinatorPolicy(params.wake_threshold);
-      p2.cur_t_sleep = static_cast<double>(params.effective_t_sleep());
+      p2.cur_t_sleep = params.effective_t_sleep();
 
       const bool shares = mode_space_shares(p2.spec.mode);
       if (shares) {
@@ -222,9 +212,8 @@ struct SimEngine::Impl {
         }
       }
       if (p2.spec.mode == SchedMode::kDws) {
-        p2.driver = std::make_unique<CoordinatorDriver>(
-            *table, p2.pid, params.seed ^ (0xC0FFEEULL * (pi + 1)), &topo,
-            p2.start_core);
+        p2.driver = std::make_unique<CoordinatorDriver>(*table, p2.pid, &topo,
+                                                        p2.start_core);
       }
 
       for (CoreId c = 0; c < k; ++c) {
@@ -613,8 +602,8 @@ struct SimEngine::Impl {
     WorkerSt& w = workers[wi];
     ProgSt& p = progs[w.prog];
     w.policy.on_sleep();
-    ++w.sleeps;
-    if (eviction) ++w.evictions;
+    ++w.counts.sleeps;
+    if (eviction) ++w.counts.evictions;
     w.st = WState::kSleeping;
     w.op = Op::kNone;
     w.slept_at = now;
@@ -626,8 +615,8 @@ struct SimEngine::Impl {
 
   /// Adaptive T_SLEEP (§6 extension): called when a worker wakes. A sleep
   /// that lasted less than the short-sleep horizon means the threshold
-  /// triggered prematurely — double it (capped); the coordinator tick
-  /// decays it back toward the base value.
+  /// triggered prematurely — escalate it; the coordinator tick decays it
+  /// back toward the base value (core/steal_policy.hpp has both rules).
   void adapt_t_sleep_on_wake(const WorkerSt& w) {
     if (!params.adaptive_t_sleep) return;
     const double horizon = params.adaptive_short_sleep_us > 0.0
@@ -635,16 +624,8 @@ struct SimEngine::Impl {
                                : params.coordinator_period_us;
     if (now - w.slept_at >= horizon) return;
     ProgSt& p = progs[w.prog];
-    const double cap = 64.0 * static_cast<double>(params.effective_t_sleep());
-    p.cur_t_sleep = std::min(cap, p.cur_t_sleep * 2.0);
-    apply_t_sleep(w.prog);
-  }
-
-  void apply_t_sleep(unsigned pi) {
-    const int threshold = static_cast<int>(progs[pi].cur_t_sleep);
-    for (CoreId c = 0; c < k; ++c) {
-      workers[widx(pi, c)].policy.set_t_sleep(threshold);
-    }
+    p.cur_t_sleep =
+        escalated_t_sleep(p.cur_t_sleep, params.effective_t_sleep());
   }
 
   void begin_exec(WorkerSt& w, NodeId node) {
@@ -692,8 +673,8 @@ struct SimEngine::Impl {
           // A successful central-queue poll (work-sharing) is a pop, not
           // a steal; only deque sweeps count toward the steal stats.
           if (!progs[w.prog].spec.work_sharing) {
-            ++w.steals;
-            ++w.steals_tier[static_cast<int>(sw.tier)];
+            ++w.counts.steals;
+            ++w.counts.steals_by_tier[static_cast<int>(sw.tier)];
             emit(TraceKind::kSteal, w.prog, w.core, sw.node);
             const double mig =
                 params.steal_tier_migration_us[static_cast<int>(sw.tier)];
@@ -711,12 +692,15 @@ struct SimEngine::Impl {
           begin_exec(w, sw.node);
           return true;
         }
-        ++w.failed;
+        ++w.counts.failed_steals;
+        if (params.adaptive_t_sleep) {
+          w.policy.set_t_sleep(progs[w.prog].cur_t_sleep);
+        }
         switch (w.policy.on_steal_failed()) {
           case StealOutcome::kRetry:
             return worker_decide(wi) || (pick_next(c), false);
           case StealOutcome::kYield:
-            ++w.yields;
+            ++w.counts.yields;
             if (progs[w.prog].spec.mode == SchedMode::kBws) {
               // BWS's directed yield: migrate a preempted busy sibling
               // here and hand it this slice, rather than yielding to
@@ -746,7 +730,7 @@ struct SimEngine::Impl {
         const NodeId done = w.exec_node;
         w.op = Op::kNone;
         w.exec_node = kNoNode;
-        ++w.tasks;
+        ++w.counts.tasks_executed;
         emit(TraceKind::kTaskFinish, w.prog, w.core, done);
         ProgSt& p = progs[w.prog];
         const DagNode& node = p.spec.dag->node(done);
@@ -811,73 +795,41 @@ struct SimEngine::Impl {
 
   void on_coord_tick(unsigned pi) {
     ProgSt& p = progs[pi];
-    ++p.ticks;
 
     if (params.adaptive_t_sleep) {
-      // Multiplicative decay back toward the base threshold: premature
-      // sleeps push the threshold up quickly; calm periods relax it.
-      const auto base = static_cast<double>(params.effective_t_sleep());
-      const double decayed = std::max(base, p.cur_t_sleep * 0.97);
-      if (decayed != p.cur_t_sleep) {
-        p.cur_t_sleep = decayed;
-        apply_t_sleep(pi);
-      }
+      // Calm periods relax the threshold back toward the base.
+      p.cur_t_sleep =
+          decayed_t_sleep(p.cur_t_sleep, params.effective_t_sleep());
     }
 
     DemandSnapshot s;
-    unsigned sleeping = 0, active = 0;
-    std::uint64_t backlog = p.central.size();  // work-sharing FIFO (if any)
+    s.queued_tasks = p.central.size();  // work-sharing FIFO (if any)
     for (CoreId c = 0; c < k; ++c) {
       const WorkerSt& w = workers[widx(pi, c)];
-      backlog += w.pool.size();
+      s.queued_tasks += w.pool.size();
       switch (w.st) {
-        case WState::kSleeping: ++sleeping; break;
+        case WState::kSleeping: ++s.sleeping_workers; break;
         case WState::kParked: break;
-        default: ++active; break;
+        default: ++s.active_workers; break;
       }
     }
-    s.queued_tasks = backlog;
-    s.active_workers = active;
-    s.sleeping_workers = sleeping;
-    if (p.driver) {
-      const DemandSnapshot cs = p.driver->snapshot_cores();
-      s.free_cores = cs.free_cores;
-      s.reclaimable_cores =
-          params.disable_reclaim ? 0 : cs.reclaimable_cores;
-    } else {
-      s.free_cores = sleeping;  // DWS-NC: wake in place
-      s.reclaimable_cores = 0;
+    const StepWakes wakes =
+        coordinator_step(p.policy, p.driver.get(), s, p.counts,
+                         /*reclaim=*/!params.disable_reclaim);
+    for (CoreId c : wakes.cores.claimed) {
+      emit(TraceKind::kClaim, pi, c);
+      wake_worker(widx(pi, c));
     }
-
-    const WakeDecision d = p.policy.decide(s);
-    if (debug_ticks) {
-      fprintf(stderr, "t=%.1fms p=%u Nb=%llu Na=%u slp=%u Nf=%u Nr=%u -> free=%u recl=%u\n",
-              now/1000.0, pi, (unsigned long long)s.queued_tasks, s.active_workers,
-              s.sleeping_workers, s.free_cores, s.reclaimable_cores,
-              d.wake_on_free, d.wake_on_reclaim);
+    for (CoreId c : wakes.cores.reclaimed) {
+      emit(TraceKind::kReclaim, pi, c);
+      wake_worker(widx(pi, c));
     }
-    if (d.total() > 0) {
-      if (p.driver) {
-        const AcquireResult won = p.driver->acquire(d);
-        p.claims += won.claimed.size();
-        p.reclaims += won.reclaimed.size();
-        for (CoreId c : won.claimed) {
-          emit(TraceKind::kClaim, pi, c);
-          wake_worker(widx(pi, c));
-        }
-        for (CoreId c : won.reclaimed) {
-          emit(TraceKind::kReclaim, pi, c);
-          wake_worker(widx(pi, c));
-        }
-      } else {
-        unsigned need = d.total();
-        for (CoreId c = 0; c < k && need > 0; ++c) {
-          const unsigned wi = widx(pi, c);
-          if (workers[wi].st == WState::kSleeping) {
-            wake_worker(wi);
-            --need;
-          }
-        }
+    unsigned need = wakes.in_place;
+    for (CoreId c = 0; c < k && need > 0; ++c) {
+      const unsigned wi = widx(pi, c);
+      if (workers[wi].st == WState::kSleeping) {
+        wake_worker(wi);
+        --need;
       }
     }
     push_event(now + params.coordinator_period_us, Ev::kCoordTick, pi);
@@ -887,9 +839,9 @@ struct SimEngine::Impl {
     WorkerSt& w = workers[wi];
     if (w.st != WState::kSleeping) return;
     w.st = WState::kWaking;
-    ++w.wakes;
+    ++w.counts.wakes;
     emit(TraceKind::kWake, w.prog, w.core);
-    if (from_coordinator) ++progs[w.prog].coord_wakes;
+    if (from_coordinator) ++progs[w.prog].counts.coordinator_wakes;
     push_event(now + params.wake_latency_us, Ev::kWake, wi);
   }
 
@@ -952,25 +904,14 @@ struct SimEngine::Impl {
         for (unsigned i = 0; i < n; ++i) sum += p.run_times[i];
         r.mean_run_time_us = sum / n;  // Eq. 2
       }
-      r.coordinator_ticks = p.ticks;
-      r.cores_claimed = p.claims;
-      r.cores_reclaimed = p.reclaims;
+      r += p.counts;
       for (CoreId c = 0; c < k; ++c) {
         const WorkerSt& w = workers[widx(pi, c)];
-        r.tasks_executed += w.tasks;
-        r.steals += w.steals;
-        r.failed_steals += w.failed;
-        r.yields += w.yields;
-        r.sleeps += w.sleeps;
-        r.wakes += w.wakes;
-        r.evictions += w.evictions;
+        r += w.counts;
         r.exec_time_us += w.exec_time;
         r.cache_penalty_us += w.cache_penalty;
         r.steal_overhead_us += w.steal_overhead;
         r.migration_us += w.mig_time;
-        for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-          r.steals_by_tier[t] += w.steals_tier[t];
-        }
       }
       result.programs.push_back(std::move(r));
     }

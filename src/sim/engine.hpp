@@ -7,8 +7,9 @@
 //    real runtime uses, with per-op costs (deque pop, steal attempt);
 //  * the OS layer time-shares each core round-robin with a quantum; ABP
 //    yield() requeues the caller at the tail of its core's run queue;
-//  * DWS coordinators tick every T µs and run the *same*
-//    CoordinatorPolicy/CoordinatorDriver against a real CoreTable;
+//  * DWS coordinators tick every T µs and run the *same* coordinator_step
+//    (CoordinatorPolicy + CoordinatorDriver) against a real CoreTable, and
+//    count into the same WorkerCounters/CoordinatorCounters;
 //  * a two-level cache-warmth model (private per-core + per-socket LLC)
 //    slows memory-intensive tasks down when another program's execution
 //    has evicted this program's working set (§2.1 drawback 2, §4.1 p-7).
@@ -25,6 +26,7 @@
 
 #include "core/coordinator_policy.hpp"
 #include "core/core_table.hpp"
+#include "core/counters.hpp"
 #include "core/steal_policy.hpp"
 #include "core/types.hpp"
 #include "sim/dag.hpp"
@@ -53,27 +55,20 @@ struct SimProgramSpec {
   bool work_sharing = false;
 };
 
-struct ProgramResult {
+/// One program's counters (the vocabulary the real runtime reports too)
+/// plus the simulator's own timings.
+struct ProgramResult : WorkerCounters, CoordinatorCounters {
+  using WorkerCounters::operator+=;
+  using CoordinatorCounters::operator+=;
+
   std::string name;
   std::vector<double> run_times_us;  ///< per completed repetition
   double mean_run_time_us = 0.0;     ///< Eq. 2 over the first target_runs
-  std::uint64_t tasks_executed = 0;
-  std::uint64_t steals = 0;
-  std::uint64_t failed_steals = 0;
-  std::uint64_t yields = 0;
-  std::uint64_t sleeps = 0;
-  std::uint64_t wakes = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t coordinator_ticks = 0;
-  std::uint64_t cores_claimed = 0;
-  std::uint64_t cores_reclaimed = 0;
   double exec_time_us = 0.0;          ///< wall time spent executing tasks
   double cache_penalty_us = 0.0;      ///< exec time lost to cold caches
   double steal_overhead_us = 0.0;     ///< wall time spent on steal attempts
-  /// Locality breakdown: successful steals by the victim's distance tier
-  /// (VERYNEAR..VERYFAR; sums to `steals`), and the total transfer cost
-  /// charged for them (steal_tier_migration_us).
-  std::uint64_t steals_by_tier[kNumDistanceTiers] = {0, 0, 0, 0};
+  /// Transfer cost charged for successful steals by the victim's tier
+  /// (steal_tier_migration_us; see steals_by_tier for the counts).
   double migration_us = 0.0;
 };
 

@@ -179,7 +179,7 @@ TEST(CoordinatorPolicy, WakeCountIsMonotoneInBacklog) {
 TEST(CoordinatorDriver, AcquiresRequestedFreeCores) {
   CoreTableLocal local(16, 2);
   CoreTable& t = local.table();
-  CoordinatorDriver drv(t, /*pid=*/1, /*seed=*/42);
+  CoordinatorDriver drv(t, /*pid=*/1);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 4});
   EXPECT_EQ(won.claimed.size(), 4u);
   EXPECT_TRUE(won.reclaimed.empty());
@@ -193,7 +193,7 @@ TEST(CoordinatorDriver, AcquireStopsWhenTableRunsDry) {
   CoreTableLocal local(4, 2);
   CoreTable& t = local.table();
   for (CoreId c = 0; c < 3; ++c) ASSERT_TRUE(t.try_claim(c, 2));
-  CoordinatorDriver drv(t, 1, 7);
+  CoordinatorDriver drv(t, 1);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 4});
   ASSERT_EQ(won.claimed.size(), 1u);
   EXPECT_EQ(won.claimed[0], 3u);
@@ -207,7 +207,7 @@ TEST(CoordinatorDriver, ReclaimTakesOnlyHomeCores) {
   ASSERT_TRUE(t.try_claim(1, 2));
   ASSERT_TRUE(t.try_claim(8, 2));
   ASSERT_TRUE(t.try_claim(9, 2));
-  CoordinatorDriver drv(t, 1, 1);
+  CoordinatorDriver drv(t, 1);
   const auto won = drv.acquire(WakeDecision{.wake_on_reclaim = 8});
   EXPECT_EQ(won.reclaimed.size(), 2u);  // only the two borrowed home cores
   EXPECT_TRUE(won.claimed.empty());
@@ -222,21 +222,10 @@ TEST(CoordinatorDriver, SnapshotReflectsTable) {
   CoreTable& t = local.table();
   ASSERT_TRUE(t.try_claim(0, 2));   // p2 borrows p1's core
   ASSERT_TRUE(t.try_claim(8, 2));   // p2 uses own core
-  CoordinatorDriver drv(t, 1, 3);
+  CoordinatorDriver drv(t, 1);
   const DemandSnapshot s = drv.snapshot_cores();
   EXPECT_EQ(s.free_cores, 14u);
   EXPECT_EQ(s.reclaimable_cores, 1u);
-}
-
-TEST(CoordinatorDriver, SelectionIsDeterministicAcrossSeeds) {
-  // The grant order is a property of the table + topology, not of the
-  // seed: two drivers over identical tables must claim identical cores
-  // even when seeded differently (selection used to be a seeded shuffle).
-  CoreTableLocal a(16, 2), b(16, 2);
-  CoordinatorDriver da(a.table(), 1, 999), db(b.table(), 1, 31337);
-  const auto wa = da.acquire(WakeDecision{.wake_on_free = 6});
-  const auto wb = db.acquire(WakeDecision{.wake_on_free = 6});
-  EXPECT_EQ(wa.claimed, wb.claimed);
 }
 
 TEST(CoordinatorDriver, EquallyEligibleCoresAreGrantedByAscendingId) {
@@ -246,7 +235,7 @@ TEST(CoordinatorDriver, EquallyEligibleCoresAreGrantedByAscendingId) {
   // of order_candidates (or of free_cores()) grants {15,14,13,12} and
   // fails here.
   CoreTableLocal local(16, 2);
-  CoordinatorDriver drv(local.table(), /*pid=*/1, /*seed=*/0);
+  CoordinatorDriver drv(local.table(), /*pid=*/1);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 4});
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{0, 1, 2, 3}));
 }
@@ -256,7 +245,7 @@ TEST(CoordinatorDriver, ReclaimAlsoGrantsByAscendingId) {
   CoreTable& t = local.table();
   // p2 borrows three of p1's home cores (p1 homes 0-3).
   for (CoreId c = 0; c < 3; ++c) ASSERT_TRUE(t.try_claim(c, 2));
-  CoordinatorDriver drv(t, 1, 0);
+  CoordinatorDriver drv(t, 1);
   const auto won = drv.acquire(WakeDecision{.wake_on_reclaim = 2});
   EXPECT_EQ(won.reclaimed, (std::vector<CoreId>{0, 1}));
 }
@@ -269,8 +258,7 @@ TEST(CoordinatorDriver, TopologyPrefersCoresNearTheHomeSocket) {
   // the flat tie-break alone would pick.
   const Topology topo = Topology::synthetic(16, 2);
   CoreTableLocal local(16, 2);
-  CoordinatorDriver drv(local.table(), /*pid=*/2, /*seed=*/0, &topo,
-                        /*home_core=*/8);
+  CoordinatorDriver drv(local.table(), /*pid=*/2, &topo, /*home_core=*/8);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 6});
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{8, 9, 10, 11, 12, 13}));
 }
@@ -283,7 +271,7 @@ TEST(CoordinatorDriver, SpillsToRemoteSocketOnlyAfterNearIsExhausted) {
   ASSERT_TRUE(t.try_claim(4, 1));
   ASSERT_TRUE(t.try_claim(5, 1));
   ASSERT_TRUE(t.try_claim(6, 1));
-  CoordinatorDriver drv(t, /*pid=*/2, /*seed=*/0, &topo, /*home_core=*/4);
+  CoordinatorDriver drv(t, /*pid=*/2, &topo, /*home_core=*/4);
   const auto won = drv.acquire(WakeDecision{.wake_on_free = 3});
   // The one near core left (7), then the remote socket in id order.
   EXPECT_EQ(won.claimed, (std::vector<CoreId>{7, 0, 1}));
@@ -292,7 +280,7 @@ TEST(CoordinatorDriver, SpillsToRemoteSocketOnlyAfterNearIsExhausted) {
 TEST(CoordinatorDriver, TwoDriversNeverDoubleClaim) {
   CoreTableLocal local(16, 2);
   CoreTable& t = local.table();
-  CoordinatorDriver d1(t, 1, 10), d2(t, 2, 20);
+  CoordinatorDriver d1(t, 1), d2(t, 2);
   const auto w1 = d1.acquire(WakeDecision{.wake_on_free = 10});
   const auto w2 = d2.acquire(WakeDecision{.wake_on_free = 10});
   EXPECT_EQ(w1.total() + w2.total(), 16u);

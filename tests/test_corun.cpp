@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "counter_invariants.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
 
@@ -212,6 +213,34 @@ TEST(CoRun, OwnerReclaimsCoresWhenItsDemandReturns) {
   const auto stats = a.stats();
   EXPECT_GT(stats.cores_reclaimed, 0u)
       << "a never reclaimed its borrowed home cores";
+}
+
+TEST(CoRun, CounterInvariantsHoldAfterCoreExchange) {
+  // The checker test_sim_properties also runs on the simulator.
+  CoreTableLocal shared(4, 2);
+  const Config cfg = corun_config(SchedMode::kDws, 4, 2);
+  Scheduler a(cfg, &shared.table());
+  Scheduler b(cfg, &shared.table());
+  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 4; }));
+  {
+    Saturator load_b(b, 50);  // b borrows a's released cores...
+    ASSERT_TRUE(eventually(
+        [&] { return shared.table().count_borrowed_from(a.pid()) == 2; }));
+    // ...and a's demand takes them back.
+    parallel_for_each_index(a, 0, 2000, 4,
+                            [](std::int64_t) { spin_work(100); });
+  }
+  ASSERT_TRUE(eventually([&] {
+    return a.sleeping_workers() == 4 && b.sleeping_workers() == 4;
+  }));
+  for (const Scheduler* s : {&a, &b}) {
+    const SchedulerStats st = s->stats();
+    SCOPED_TRACE(s->pid());
+    expect_counter_invariants(st.totals, st);
+    for (const WorkerStats& w : st.per_worker) {
+      expect_counter_invariants(w, CoordinatorCounters{});
+    }
+  }
 }
 
 TEST(CoRun, EvictedBorrowerVacatesTheCore) {

@@ -316,7 +316,8 @@ TEST(SchedulerDws, DemandTicksStayBoundedWhenSleepersCannotWinACore) {
     }
   });
   // Ticks first: every arm a tick consumed was counted before it.
-  const std::uint64_t ticks = sched.coordinator()->ticks();
+  const std::uint64_t ticks =
+      sched.coordinator()->counters().coordinator_ticks;
   const auto stats = sched.stats();
   EXPECT_GT(leaves.load(), 0u);
   EXPECT_EQ(shared.table().count_active(other), 2u);
@@ -399,8 +400,8 @@ TEST(SchedulerStats, RelaxedCounterCopiesFromLiveOwnerAreMonotonic) {
 }
 
 // The same property end-to-end: Scheduler::stats() copies every worker's
-// WorkerStats (nine RelaxedCounters each) while the workers are still
-// executing tasks and bumping them. Live snapshots must be tear-free —
+// live RelaxedCounter block while the workers are still executing tasks
+// and bumping them. Live snapshots must be tear-free —
 // per-counter monotonic across calls and bounded by the quiesced final
 // totals. (Under -DDWS_TSAN=ON this test is also the TSan witness that
 // live aggregation is race-annotation clean.)
@@ -420,9 +421,8 @@ TEST(SchedulerStats, LiveAggregationIsTearFree) {
     const std::uint64_t attempts = s.totals.steal_attempts;
     EXPECT_GE(tasks, last_tasks) << "live totals went backwards";
     EXPECT_GE(attempts, last_attempts);
-    // stats() copies each worker's WorkerStats strictly before re-reading
-    // the live counters into totals, so the per-worker copies can only
-    // lag the totals, never exceed them.
+    // stats() sums the per-worker snapshots into totals, so the
+    // per-worker copies can never exceed the totals.
     std::uint64_t per_worker_sum = 0;
     for (const WorkerStats& w : s.per_worker) {
       per_worker_sum += w.tasks_executed;

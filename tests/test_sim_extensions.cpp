@@ -235,7 +235,9 @@ TEST(AdaptiveTSleep, OffByDefaultMatchesFixed) {
 
 TEST(AdaptiveTSleep, ReducesChurnOnBurstyWorkload) {
   // Rapidly alternating demand with a tiny base threshold: the adaptive
-  // controller must cut the sleep/wake churn substantially.
+  // controller must cut the sleep/wake churn substantially. T_SLEEP = 0
+  // with every wake counted as premature is the regression case: the
+  // threshold used to double from 0 to 0 and never escalate.
   TaskDag dag;
   DagSpan prev{};
   for (int phase = 0; phase < 16; ++phase) {
@@ -250,22 +252,28 @@ TEST(AdaptiveTSleep, ReducesChurnOnBurstyWorkload) {
   }
   ASSERT_EQ(dag.validate(), "");
 
-  auto churn = [&](bool adaptive) {
-    SimParams p = machine(8);
-    p.t_sleep = 2;
-    p.adaptive_t_sleep = adaptive;
-    SimEngine e(p, {spec("a", SchedMode::kDws, &dag, 3),
-                    spec("b", SchedMode::kDws, &dag, 3)});
-    const SimResult r = e.run();
-    return r.programs[0].sleeps + r.programs[1].sleeps;
-  };
-  const auto fixed_sleeps = churn(false);
-  const auto adaptive_sleeps = churn(true);
-  // The controller must strictly reduce churn here; on harsher workloads
-  // (see bench_adaptive_tsleep) the reduction is ~7x.
-  EXPECT_LT(static_cast<double>(adaptive_sleeps),
-            0.8 * static_cast<double>(fixed_sleeps))
-      << "adaptive threshold failed to suppress premature-sleep churn";
+  for (const auto& [t_sleep, horizon_us] :
+       {std::pair{2, -1.0}, std::pair{0, 1e9}}) {
+    auto churn = [&](bool adaptive) {
+      SimParams p = machine(8);
+      p.t_sleep = t_sleep;
+      p.adaptive_t_sleep = adaptive;
+      p.adaptive_short_sleep_us = horizon_us;
+      SimEngine e(p, {spec("a", SchedMode::kDws, &dag, 3),
+                      spec("b", SchedMode::kDws, &dag, 3)});
+      const SimResult r = e.run();
+      return r.programs[0].sleeps + r.programs[1].sleeps;
+    };
+    const auto fixed_sleeps = churn(false);
+    const auto adaptive_sleeps = churn(true);
+    // The controller must strictly reduce churn here; on harsher
+    // workloads (see bench_adaptive_tsleep) the reduction is ~7x.
+    EXPECT_LT(static_cast<double>(adaptive_sleeps),
+              0.8 * static_cast<double>(fixed_sleeps))
+        << "adaptive threshold failed to suppress premature-sleep churn "
+           "at T_SLEEP = "
+        << t_sleep;
+  }
 }
 
 TEST(AdaptiveTSleep, StillSleepsOnGenuineIdleness) {

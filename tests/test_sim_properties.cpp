@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "counter_invariants.hpp"
 #include "sim/engine.hpp"
 #include "sim/workload.hpp"
 
@@ -95,9 +96,10 @@ TEST_P(SimProperty, InvariantsHold) {
       EXPECT_GE(t, dag.critical_path() * 0.999) << p.name;
     }
     // 4. Stats sanity: wakes never exceed sleeps (a worker must sleep
-    //    before it can be woken); steals <= steal attempts implied by
-    //    failed+steals.
+    //    before it can be woken); under DWS, every invariant the runtime
+    //    is held to as well (test_corun).
     EXPECT_LE(p.wakes, p.sleeps) << p.name;
+    if (mode == SchedMode::kDws) expect_counter_invariants(p, p);
   }
 
   // 5. Per-core occupancy bounds.

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <vector>
 
 #include "core/config.hpp"
 #include "core/steal_policy.hpp"
@@ -241,6 +243,30 @@ TEST_P(StealPolicySweep, SleepTriggersAtThresholdExactly) {
   while (p.on_steal_failed() == StealOutcome::kYield) ++yields;
   EXPECT_EQ(yields, std::max(t_sleep - 1, 0));
   EXPECT_EQ(p.failed_steals(), std::max(t_sleep, 1));
+}
+
+// ---- Adaptive T_SLEEP rule (shared by the runtime and the simulator) ----
+
+TEST(AdaptiveTSleepRule, EscalationDoublesFromZeroAndCapsAt64xBase) {
+  // A base of 0 must still escalate (0 * 2 stays 0 forever).
+  int cur = 0;
+  std::vector<int> seen;
+  for (int i = 0; i < 8; ++i) seen.push_back(cur = escalated_t_sleep(cur, 0));
+  EXPECT_EQ(seen, (std::vector<int>{1, 2, 4, 8, 16, 32, 64, 64}));
+  EXPECT_EQ(escalated_t_sleep(16, 16), 32);
+  EXPECT_EQ(escalated_t_sleep(200, 4), 256);  // a partial last doubling
+  EXPECT_EQ(escalated_t_sleep(256, 4), 256);
+  EXPECT_EQ(escalated_t_sleep(INT_MAX / 2 + 1, INT_MAX / 2), INT_MAX);
+}
+
+TEST(AdaptiveTSleepRule, DecayTruncatesThreePercentDownToTheBase) {
+  EXPECT_EQ(decayed_t_sleep(100, 0), 97);
+  EXPECT_EQ(decayed_t_sleep(10, 0), 9);     // 9.7
+  EXPECT_EQ(decayed_t_sleep(34, 0), 32);    // 32.98
+  EXPECT_EQ(decayed_t_sleep(256, 4), 248);  // 248.32
+  EXPECT_EQ(decayed_t_sleep(17, 16), 16);   // 16.49, and the floor
+  EXPECT_EQ(decayed_t_sleep(16, 16), 16);
+  EXPECT_EQ(decayed_t_sleep(1, 0), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -91,15 +91,16 @@ struct Access {
       DWS_AUDIT_FIELD(next, "shared");
     }
     {
-      DWS_AUDIT_STRUCT(out, dws::rt::WorkerStats);
+      DWS_AUDIT_STRUCT(out, dws::rt::LiveWorkerStats);
       DWS_AUDIT_FIELD(tasks_executed, "owned_by:worker");
-      DWS_AUDIT_FIELD(steal_attempts, "owned_by:worker");
       DWS_AUDIT_FIELD(steals, "owned_by:worker");
       DWS_AUDIT_FIELD(failed_steals, "owned_by:worker");
       DWS_AUDIT_FIELD(yields, "owned_by:worker");
       DWS_AUDIT_FIELD(sleeps, "owned_by:worker");
       DWS_AUDIT_FIELD(wakes, "owned_by:worker");
       DWS_AUDIT_FIELD(evictions, "owned_by:worker");
+      DWS_AUDIT_FIELD(steals_by_tier, "owned_by:worker");
+      DWS_AUDIT_FIELD(steal_attempts_by_tier, "owned_by:worker");
       DWS_AUDIT_FIELD(heap_spawns, "owned_by:worker");
     }
     {
@@ -180,10 +181,7 @@ struct Access {
       DWS_AUDIT_FIELD(cv_, "shared");
       DWS_AUDIT_FIELD(stop_requested_, "shared");
       DWS_AUDIT_FIELD(nudge_pending_, "shared");
-      DWS_AUDIT_FIELD(ticks_, "owned_by:coordinator");
-      DWS_AUDIT_FIELD(wakes_, "owned_by:coordinator");
-      DWS_AUDIT_FIELD(cores_claimed_, "owned_by:coordinator");
-      DWS_AUDIT_FIELD(cores_reclaimed_, "owned_by:coordinator");
+      DWS_AUDIT_FIELD(counters_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(stale_programs_swept_, "owned_by:coordinator");
       DWS_AUDIT_FIELD(cores_recovered_, "owned_by:coordinator");
     }
@@ -346,11 +344,11 @@ int main(int argc, char** argv) {
   std::vector<StructInfo> structs = dws::layout::Access::collect();
 
   if (seed_regression) {
-    // Deliberately mis-report WorkerStats as if its alignas(64) had been
-    // dropped — the regression the golden gate exists to catch. Used by
-    // test_layout_audit to prove the gate fires.
+    // Deliberately mis-report LiveWorkerStats as if its alignas(64) had
+    // been dropped — the regression the golden gate exists to catch. Used
+    // by test_layout_audit to prove the gate fires.
     for (StructInfo& s : structs) {
-      if (s.name == "dws::rt::WorkerStats") {
+      if (s.name == "dws::rt::LiveWorkerStats") {
         s.align = alignof(std::uint64_t);
         s.size -= s.size % dws::layout::kCacheLineBytes;
         s.size += sizeof(std::uint64_t) * 9 % dws::layout::kCacheLineBytes;
