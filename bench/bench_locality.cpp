@@ -120,7 +120,7 @@ double sim_linalg_rep(VictimPolicy policy, std::uint64_t seed, unsigned runs,
 
 /// Accumulated per-tier steal evidence from the tiered runtime legs.
 struct TierEvidence {
-  std::uint64_t attempts[kNumDistanceTiers] = {0, 0, 0, 0};
+  std::uint64_t probes[kNumDistanceTiers] = {0, 0, 0, 0};
   std::uint64_t steals[kNumDistanceTiers] = {0, 0, 0, 0};
 };
 
@@ -143,7 +143,7 @@ double runtime_linalg_rep(VictimPolicy policy, std::size_t n,
   if (evidence != nullptr) {
     const rt::SchedulerStats s = sched.stats();
     for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      evidence->attempts[t] += s.totals.steal_attempts_by_tier[t];
+      evidence->probes[t] += s.totals.probes_by_tier[t];
       evidence->steals[t] += s.totals.steals_by_tier[t];
     }
   }
@@ -260,10 +260,10 @@ int main(int argc, char** argv) {
   for (const auto& leg : legs) pass = pass && leg.within;
   // The neutral runtime leg must not pass vacuously: the tiered scheduler
   // has a 2-socket model, so near-tier probes must actually occur.
-  const auto near_attempts =
-      evidence.attempts[static_cast<int>(DistanceTier::kNear)];
-  if (near_attempts == 0) {
-    std::cerr << "tiered runtime leg recorded no near-tier steal attempts —"
+  const auto near_probes =
+      evidence.probes[static_cast<int>(DistanceTier::kNear)];
+  if (near_probes == 0) {
+    std::cerr << "tiered runtime leg recorded no near-tier victim probes —"
               << " near-first ordering was not exercised\n";
     pass = false;
   }
@@ -310,7 +310,7 @@ int main(int argc, char** argv) {
   }
   out << "],\n  \"tiered_runtime_steal_attempts_by_tier\": [";
   for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-    out << (t > 0 ? ", " : "") << evidence.attempts[t];
+    out << (t > 0 ? ", " : "") << evidence.probes[t];
   }
   out << "],\n  \"tiered_runtime_steals_by_tier\": [";
   for (unsigned t = 0; t < kNumDistanceTiers; ++t) {

@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
   const sim::SimResult r = engine.run();
 
   std::cout << "simulated " << params.num_cores << " cores / "
-            << params.num_sockets << " sockets; total virtual time "
+            << params.topology().num_sockets()
+            << " sockets; total virtual time "
             << harness::Table::num(r.total_time_us / 1000.0, 1) << " ms"
             << (r.hit_time_limit ? "  ** HIT TIME LIMIT **" : "") << "\n\n";
   harness::Table table({"program", "mode", "ms/run", "runs", "steals",

@@ -46,10 +46,12 @@ struct Config {
   /// auto-detection, which reads the real sibling map.
   unsigned smt_per_core = 1;
 
-  /// Victim ordering for steal attempts: TIERED exhausts near distance
-  /// tiers before far ones (locality-aware); UNIFORM is the paper's
-  /// original random victim. On a flat topology the two coincide
-  /// statistically, so TIERED is the default.
+  /// Victim order of a steal attempt, which sweeps every other worker once
+  /// (core/victim_order.hpp): TIERED exhausts near distance tiers before
+  /// far ones (locality-aware); UNIFORM sweeps all victims as one segment
+  /// from a random start (the paper's random victim choice, without
+  /// replacement within a sweep). On a flat topology the two coincide, so
+  /// TIERED is the default.
   VictimPolicy victim_policy = VictimPolicy::kTiered;
 
   /// Pin worker i to hardware core i (real runtime only).

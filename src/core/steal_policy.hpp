@@ -6,7 +6,9 @@
 // This class is pure policy — no threads, no atomics — so the identical
 // code drives both the real runtime's workers and the simulator's virtual
 // workers, which is what makes the simulated evaluation exercise the
-// paper's actual contribution.
+// paper's actual contribution. Both executors make one steal attempt as
+// one victim sweep (TieredVictimOrder::sweep, core/victim_order.hpp) and
+// report each failed sweep here once, so T_SLEEP counts failed sweeps.
 #pragma once
 
 #include <climits>
@@ -15,7 +17,7 @@
 
 namespace dws {
 
-/// What a worker should do after a failed steal attempt.
+/// What a worker should do after a failed steal attempt (a failed sweep).
 enum class StealOutcome : int {
   /// Try again immediately (CLASSIC busy-spinning).
   kRetry = 0,

@@ -1,30 +1,31 @@
-// Locality-aware victim ordering for Algorithm 1's steal attempts.
+// Victim ordering for Algorithm 1's steal attempts, shared by the real
+// runtime's workers and the simulator's.
 //
-// distbdd-spin17's wstealer buckets the other workers into the four
-// distance tiers of core/topology.hpp and steals near-first: all VERYNEAR
-// victims are probed before any NEAR one, and so on. TieredVictimOrder
-// packages that ordering as pure policy (no threads, no atomics — the
-// same class drives the real runtime's workers and the simulator):
+// One steal attempt is one *sweep*: sweep(rng, probe) probes every other
+// worker at most once and stops at the first hit. Both executors count a
+// failed sweep as one failed steal, so Algorithm 1's T_SLEEP threshold
+// means the same thing in the runtime and in the simulator.
 //
-//  * victims are bucketed by distance(self, v) once, at construction;
-//  * a *sweep* probes every victim exactly once, tiers in near-to-far
-//    order, uniformly shuffled within each tier (so equally-near victims
-//    share the load instead of core 0 being everyone's first target);
-//  * next() hands out one victim per call and keeps a cursor, preserving
-//    Algorithm 1's one-attempt-per-iteration accounting (the failed-steal
-//    counter and T_SLEEP semantics are untouched);
-//  * restart() rewinds to the nearest tier — called after a successful
-//    steal, so every fresh hunger episode probes near victims first.
+// Under VictimPolicy::kTiered the victims are bucketed by distance tier
+// (core/topology.hpp) once, at construction, and a sweep probes them
+// near-first, as distbdd-spin17's wstealer does: every VERYNEAR victim
+// before any NEAR one, and so on. Under kUniform all victims form one
+// segment. Each sweep draws one random start id in [0, num_workers);
+// every segment is probed in circular id order from its first victim at
+// or after that start, so the probe order changes from sweep to sweep.
+// The draw is not uniform over a segment's victims: the victim after the
+// widest gap in the segment's ids (the lowest id of a contiguous socket
+// block, say) comes first most often. This is the simulator's historical
+// sweep order, kept so that its Fig. 4-6 numbers do not move. Either way
+// every probe reports the victim's real distance tier.
 //
-// Starvation-freedom: a sweep is a permutation of all victims, the cursor
-// only rewinds on success (the thief is no longer hungry) or wrap-around,
-// so a continuously failing thief probes every victim within n-1
-// consecutive attempts regardless of the shuffles — no victim can be
-// missed forever. tests/test_check_victims.cpp certifies this
-// exhaustively over the shuffle nondeterminism.
+// Starvation-freedom is by construction: a failed sweep has probed every
+// victim. tests/test_check_victims.cpp certifies the near-first
+// permutation exhaustively over every start the rng can draw.
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "core/topology.hpp"
@@ -32,26 +33,10 @@
 
 namespace dws {
 
-/// Sentinel for "no victim exists" (single-worker programs).
-inline constexpr unsigned kNoVictim = ~0u;
-
-/// The paper's original selection: one victim uniformly at random among
-/// the `num_workers - 1` others. The skip-self mapping keeps the draw
-/// uniform (victim ids >= self shift up by one); the n <= 1 guard owns
-/// the single-worker edge where rng.next_below(0) has no valid draw.
-template <typename Rng>
-[[nodiscard]] unsigned uniform_victim(Rng& rng, unsigned num_workers,
-                                      unsigned self) {
-  if (num_workers <= 1) return kNoVictim;
-  auto victim = static_cast<unsigned>(rng.next_below(num_workers - 1));
-  if (victim >= self) ++victim;
-  return victim;
-}
-
-/// One victim pick: who to probe and how far away they are (the tier
-/// indexes WorkerStats' per-tier steal counters).
+/// One probe target: who to probe and how far away they are (the tier
+/// indexes the per-tier steal and probe counters).
 struct VictimPick {
-  unsigned victim = kNoVictim;
+  unsigned victim = 0;
   DistanceTier tier = DistanceTier::kVeryFar;
 };
 
@@ -59,65 +44,57 @@ class TieredVictimOrder {
  public:
   TieredVictimOrder() = default;
 
-  /// Order the victims of worker `self` among `num_workers` workers
-  /// (worker id == core id) by distance tier, nearest first.
-  TieredVictimOrder(const Topology& topo, unsigned self,
-                    unsigned num_workers) {
-    order_.reserve(num_workers > 0 ? num_workers - 1 : 0);
-    tier_of_.reserve(order_.capacity());
-    for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      const std::size_t begin = order_.size();
+  /// The victims of worker `self` among `num_workers` workers (worker id
+  /// == core id): one segment per non-empty distance tier, nearest first,
+  /// under kTiered; one segment of all victims under kUniform. Each
+  /// segment is in ascending id order.
+  TieredVictimOrder(const Topology& topo, unsigned self, unsigned num_workers,
+                    VictimPolicy policy = VictimPolicy::kTiered)
+      : num_workers_(num_workers) {
+    const bool tiered = policy == VictimPolicy::kTiered;
+    for (unsigned t = 0; t < (tiered ? kNumDistanceTiers : 1); ++t) {
+      const std::size_t begin = victims_.size();
       for (unsigned v = 0; v < num_workers; ++v) {
         if (v == self) continue;
-        if (static_cast<unsigned>(topo.distance(self, v)) != t) continue;
-        order_.push_back(v);
-        tier_of_.push_back(static_cast<DistanceTier>(t));
+        const DistanceTier d = topo.distance(self, v);
+        if (!tiered || static_cast<unsigned>(d) == t) {
+          victims_.push_back({v, d});
+        }
       }
-      if (order_.size() > begin) {
-        segments_.push_back({begin, order_.size()});
-      }
+      if (victims_.size() > begin) segment_ends_.push_back(victims_.size());
     }
   }
 
-  [[nodiscard]] bool empty() const noexcept { return order_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return victims_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return victims_.size(); }
 
-  /// The next victim of the current sweep. At each sweep start (first call,
-  /// wrap-around, or after restart()) the within-tier order is reshuffled
-  /// with `rng`; the tier order itself is fixed near-to-far.
-  template <typename Rng>
-  [[nodiscard]] VictimPick next(Rng& rng) {
-    if (order_.empty()) return VictimPick{};
-    if (cursor_ == 0) reshuffle(rng);
-    const VictimPick pick{order_[cursor_], tier_of_[cursor_]};
-    if (++cursor_ == order_.size()) cursor_ = 0;
-    return pick;
+  /// One steal attempt: draw a start id from `rng`, then probe the
+  /// segments in order, each circularly from its first victim at or after
+  /// the start, until `probe(pick)` returns true. Returns that pick, or
+  /// nothing when every victim was probed and none hit (one failed steal).
+  template <typename Rng, typename Probe>
+  std::optional<VictimPick> sweep(Rng& rng, Probe&& probe) const {
+    if (victims_.empty()) return std::nullopt;
+    const auto start = static_cast<unsigned>(rng.next_below(num_workers_));
+    std::size_t begin = 0;
+    for (const std::size_t end : segment_ends_) {
+      std::size_t first = begin;
+      while (first < end && victims_[first].victim < start) ++first;
+      for (std::size_t i = first; i < end; ++i) {
+        if (probe(victims_[i])) return victims_[i];
+      }
+      for (std::size_t i = begin; i < first; ++i) {
+        if (probe(victims_[i])) return victims_[i];
+      }
+      begin = end;
+    }
+    return std::nullopt;
   }
-
-  /// Rewind to the nearest tier (the hunger episode ended: the next
-  /// episode starts near-first again).
-  void restart() noexcept { cursor_ = 0; }
 
  private:
-  struct Segment {
-    std::size_t begin, end;  // [begin, end) slice of order_ with one tier
-  };
-
-  template <typename Rng>
-  void reshuffle(Rng& rng) {
-    // Fisher-Yates within each tier segment; tiers never mix.
-    for (const Segment& seg : segments_) {
-      for (std::size_t i = seg.end - seg.begin; i > 1; --i) {
-        std::swap(order_[seg.begin + i - 1],
-                  order_[seg.begin + rng.next_below(i)]);
-      }
-    }
-  }
-
-  std::vector<unsigned> order_;        // victims, grouped by tier near->far
-  std::vector<DistanceTier> tier_of_;  // tier_of_[i] = tier of order_[i]
-  std::vector<Segment> segments_;      // non-empty tier slices of order_
-  std::size_t cursor_ = 0;
+  unsigned num_workers_ = 0;
+  std::vector<VictimPick> victims_;        // segment by segment, ids ascending
+  std::vector<std::size_t> segment_ends_;  // end of each non-empty segment
 };
 
 }  // namespace dws

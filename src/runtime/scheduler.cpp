@@ -178,8 +178,10 @@ void Scheduler::wait(TaskGroup& group) {
 
   // Help-first join: execute whatever is available until the group
   // drains. The waiter never goes to sleep here — its stack holds the
-  // continuation — so after a yield phase it falls back to a bounded
-  // block on the group's condvar (woken on drain).
+  // continuation — so after a yield phase of 64 consecutive failures it
+  // falls back to a bounded block on the group's condvar (woken on
+  // drain). A failure is a find_task() that found nothing: own deque and
+  // inbox empty and one whole victim sweep failed.
   int consecutive_failures = 0;
   while (!group.done()) {
     if (TaskBase* t = w->find_task()) {

@@ -17,7 +17,8 @@ Worker::Worker(Scheduler& sched, unsigned id)
     : sched_(sched),
       id_(id),
       rng_(sched.config().seed ^ (0x9E3779B97F4A7C15ULL * (id + 1))),
-      victim_order_(sched.topology(), id, sched.config().num_cores),
+      victim_order_(sched.topology(), id, sched.config().num_cores,
+                    sched.config().victim_policy),
       policy_(sched.config().mode,
               sched.config().effective_t_sleep(sched.config().num_cores)) {}
 
@@ -58,31 +59,26 @@ TaskBase* Worker::find_task() {
   if (auto t = deque_.pop()) return *t;
   // Externally injected tasks (run() from a non-worker thread).
   if (TaskBase* t = sched_.try_pop_inbox()) return t;
-  // Algorithm 1 lines 8-10: one steal attempt per call. Victim choice is
-  // the configured policy's: near-first over the distance tiers (default)
-  // or the paper's uniform draw. The n <= 1 guard owns the single-worker
-  // edge (kNoVictim / rng_.next_below(0) has no valid draw).
-  const unsigned n = sched_.num_workers();
-  if (n <= 1) return nullptr;
-  VictimPick pick;
-  if (sched_.config().victim_policy == VictimPolicy::kTiered) {
-    pick = victim_order_.next(rng_);
-  } else {
-    pick.victim = uniform_victim(rng_, n, id_);
-    pick.tier = sched_.topology().distance(id_, pick.victim);
+  // Algorithm 1 lines 8-10: one steal attempt is one sweep of the other
+  // workers in the configured victim order (core/victim_order.hpp). A
+  // single-worker program has no victims and attempts nothing.
+  if (victim_order_.empty()) return nullptr;
+  TaskBase* stolen = nullptr;
+  const auto hit = victim_order_.sweep(rng_, [&](VictimPick pick) {
+    ++stats_.probes_by_tier[static_cast<int>(pick.tier)];
+    const auto t = sched_.workers_[pick.victim]->deque_.steal();
+    if (t) stolen = *t;
+    return t.has_value();
+  });
+  // Every sweep ends in one steals or failed_steals bump, which is all
+  // steal_attempts is derived from.
+  if (!hit) {
+    ++stats_.failed_steals;
+    return nullptr;
   }
-  // Every attempt ends in one steals or failed_steals bump below, which
-  // is all steal_attempts is derived from; only its tier is counted here.
-  ++stats_.steal_attempts_by_tier[static_cast<int>(pick.tier)];
-  if (auto t = sched_.workers_[pick.victim]->deque_.steal()) {
-    ++stats_.steals;
-    ++stats_.steals_by_tier[static_cast<int>(pick.tier)];
-    // Hunger episode over: the next one probes near tiers first again.
-    victim_order_.restart();
-    return *t;
-  }
-  ++stats_.failed_steals;
-  return nullptr;
+  ++stats_.steals;
+  ++stats_.steals_by_tier[static_cast<int>(hit->tier)];
+  return stolen;
 }
 
 void Worker::go_to_sleep(bool count_as_eviction) {

@@ -39,24 +39,25 @@ class Scheduler;
 /// stride away, only the owner's own locality to keep.
 struct alignas(layout::kCacheLineBytes) LiveWorkerStats
     : WorkerEvents<RelaxedCounter> {
-  /// Steal attempts by the victim's DistanceTier. Runtime-only: one
-  /// simulated steal attempt sweeps victims across several tiers.
-  DWS_OWNED_BY(worker) RelaxedCounter steal_attempts_by_tier[kNumDistanceTiers];
+  /// Victim probes by the victim's DistanceTier. Runtime-only: one steal
+  /// attempt is a sweep of up to k-1 probes across several tiers.
+  DWS_OWNED_BY(worker) RelaxedCounter probes_by_tier[kNumDistanceTiers];
   /// Spawns that fell back to the heap; reported by alloc_stats().
   DWS_OWNED_BY(worker) RelaxedCounter heap_spawns;
 };
 
 /// A snapshot of one worker's counters, or their sum over workers.
 struct WorkerStats : WorkerCounters {
-  /// Sums to steal_attempts (steals + failed_steals) once quiesced.
-  std::uint64_t steal_attempts_by_tier[kNumDistanceTiers] = {};
+  /// Once quiesced, sums to between steal_attempts and (k-1) times it:
+  /// a sweep probes at least one and at most every other worker.
+  std::uint64_t probes_by_tier[kNumDistanceTiers] = {};
 
   /// Add a live block (a relaxed snapshot of it) or another snapshot.
   template <typename Stats>
   WorkerStats& operator+=(const Stats& o) {
     WorkerCounters::operator+=(o);
     for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      steal_attempts_by_tier[t] += o.steal_attempts_by_tier[t];
+      probes_by_tier[t] += o.probes_by_tier[t];
     }
     return *this;
   }
@@ -112,8 +113,9 @@ class Worker {
   [[nodiscard]] TaskSlabPool& pool() noexcept { return pool_; }
 
   /// One help-first scheduling step on behalf of a nested wait: pop own
-  /// deque, poll the inbox, or attempt one steal. Returns nullptr when no
-  /// task was found. Only callable from this worker's own thread.
+  /// deque, poll the inbox, or make one steal attempt (one victim sweep).
+  /// Returns nullptr when no task was found. Only callable from this
+  /// worker's own thread.
   TaskBase* find_task();
 
  private:
@@ -133,8 +135,8 @@ class Worker {
   Scheduler& sched_;
   const unsigned id_;
   DWS_OWNED_BY(worker) util::Xoshiro256 rng_;
-  /// Near-first victim ordering (Config::victim_policy == kTiered); its
-  /// cursor/shuffle state is worker-thread-only like rng_.
+  /// The steal sweep's victim order (Config::victim_policy); fixed at
+  /// construction, it draws each sweep's start from rng_.
   DWS_OWNED_BY(worker) TieredVictimOrder victim_order_;
   StealPolicy policy_;
   ChaseLevDeque<TaskBase*> deque_;  // line-isolates its own hot words

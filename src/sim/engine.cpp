@@ -6,6 +6,8 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/victim_order.hpp"
+
 namespace dws::sim {
 
 namespace {
@@ -41,6 +43,7 @@ struct SimEngine::Impl {
     WState st = WState::kRunnable;
     std::deque<NodeId> pool;  // back = bottom (owner end), front = top
     StealPolicy policy{SchedMode::kDws, 0};
+    TieredVictimOrder victims;  // the program's other worker slots
     Op op = Op::kNone;
     double op_left = 0.0;       // remaining latency for kPop/kSteal/kMigrate
     double op_cost = 0.0;       // full planned latency of the current op
@@ -105,7 +108,8 @@ struct SimEngine::Impl {
 
   util::Xoshiro256 rng{0};
 
-  // Machine model shared with the coordinator drivers; matches socket_of.
+  // Machine model shared with the coordinator drivers, the victim orders
+  // and the cache model's socket split.
   Topology topo;
 
   // ---- event queue ----
@@ -177,12 +181,12 @@ struct SimEngine::Impl {
 
     cores.resize(k);
     for (auto& c : cores) c.exec_by.assign(m, 0.0);
-    sockets.resize(params.num_sockets);
+    sockets.resize(topo.num_sockets());
     for (auto& s2 : sockets) s2.exec_by.assign(m, 0.0);
     core_warmth.assign(k, std::vector<double>(m, 0.0));
     core_foreign_seen.assign(k, std::vector<double>(m, 0.0));
-    llc_warmth.assign(params.num_sockets, std::vector<double>(m, 0.0));
-    llc_foreign_seen.assign(params.num_sockets, std::vector<double>(m, 0.0));
+    llc_warmth.assign(topo.num_sockets(), std::vector<double>(m, 0.0));
+    llc_foreign_seen.assign(topo.num_sockets(), std::vector<double>(m, 0.0));
 
     progs.resize(m);
     workers.resize(static_cast<std::size_t>(m) * k);
@@ -221,6 +225,10 @@ struct SimEngine::Impl {
         w.prog = pi;
         w.core = c;
         w.policy = StealPolicy(p2.spec.mode, params.effective_t_sleep());
+        // Victims are worker slots, as the runtime's are worker ids, so
+        // BWS directed yield (which moves a worker to another core) does
+        // not reorder them.
+        w.victims = TieredVictimOrder(topo, c, k, params.victim_policy);
         switch (p2.spec.mode) {
           case SchedMode::kEp:
             w.st = table->home_of(c) == p2.pid ? WState::kRunnable
@@ -355,7 +363,7 @@ struct SimEngine::Impl {
     const double mi = mem_intensity_of(p, w.exec_node);
     if (mi <= 0.0) return 1.0;
     CoreSt& c = cores[w.core];
-    const unsigned s = params.socket_of(w.core);
+    const unsigned s = topo.socket_of(w.core);
     const double wc =
         touch_warmth(core_warmth[w.core], core_foreign_seen[w.core], w.prog,
                      c.exec_total, c.exec_by[w.prog], params.core_decay_us);
@@ -369,7 +377,7 @@ struct SimEngine::Impl {
 
   void account_exec(WorkerSt& w, double elapsed) {
     CoreSt& c = cores[w.core];
-    const unsigned s = params.socket_of(w.core);
+    const unsigned s = topo.socket_of(w.core);
     // Decay first (so our own elapsed time is not counted as foreign),
     // then warm our own entries.
     touch_warmth(core_warmth[w.core], core_foreign_seen[w.core], w.prog,
@@ -481,50 +489,39 @@ struct SimEngine::Impl {
       worker_sleep(wi, /*eviction=*/true);
       return false;
     }
-    if (p.spec.work_sharing) {
-      // Work-sharing (§4.4): one shared FIFO per program. A non-empty
-      // queue is a pop; an empty one is the failed-acquisition path that
-      // feeds the same StealPolicy (yield / sleep decisions unchanged).
-      if (!p.central.empty()) {
-        w.op = Op::kPop;
-        w.op_left = params.pop_cost_us;
-        return true;
-      }
-      w.op = Op::kSteal;
-      const int ws_fails = std::min(w.policy.failed_steals(), 40);
-      const double poll_cost =
-          params.steal_cost_us *
-          std::exp2(static_cast<double>(ws_fails / 4));
-      w.op_cost = std::min(poll_cost, params.steal_backoff_cap_us);
-      w.op_left = w.op_cost;
-      return true;
-    }
-    if (!w.pool.empty()) {
+    // A task within reach is a pop: the own pool, or under work-sharing
+    // (§4.4) the program's one shared FIFO.
+    if (p.spec.work_sharing ? !p.central.empty() : !w.pool.empty()) {
       w.op = Op::kPop;
       w.op_left = params.pop_cost_us;
       return true;
     }
-    // Become a thief. One Algorithm-1 "steal attempt" is modelled as a
-    // *victim sweep*: probe the program's other workers in random order
-    // and take from the first non-empty pool. Production runtimes count
-    // steal failures the same way (TBB scans the arena; BWS counts full
-    // sweeps; MIT Cilk's thieves probe at sub-microsecond rate, so 16
-    // single-victim failures span only ~20 us of real time — far finer
-    // than the coordinator timescale the T_SLEEP threshold is balanced
-    // against in §4.3). The sweep resolves at op completion.
+    // Become a thief. One Algorithm-1 steal attempt is one sweep of the
+    // shared victim order (core/victim_order.hpp), exactly as in the
+    // runtime: probe the program's other workers, near tiers first, and
+    // take from the first non-empty pool. The sweep is charged one steal
+    // cost per victim up front and resolves at op completion. Under
+    // work-sharing the attempt is one poll of the central FIFO, and an
+    // empty FIFO feeds the same StealPolicy.
     w.op = Op::kSteal;
-    // Exponential backoff on sustained failure (as real thieves do):
-    // keeps both the simulated machine and the simulator itself from
-    // drowning in fruitless probes. With the defaults, T_SLEEP = 16
-    // consecutive failed sweeps corresponds to ~1.5 ms of sustained
-    // starvation.
-    const double sweep_cost =
-        params.steal_cost_us * static_cast<double>(k > 1 ? k - 1 : 1);
-    const int fails = std::min(w.policy.failed_steals(), 40);
-    const double cost = sweep_cost * std::exp2(static_cast<double>(fails / 4));
-    w.op_cost = std::min(cost, params.steal_backoff_cap_us);
+    const double attempt_cost =
+        p.spec.work_sharing
+            ? params.steal_cost_us
+            : params.steal_cost_us * static_cast<double>(k > 1 ? k - 1 : 1);
+    w.op_cost = backed_off(attempt_cost, w.policy.failed_steals());
     w.op_left = w.op_cost;
     return true;
+  }
+
+  /// Exponential backoff on sustained failure (as real thieves do): keeps
+  /// both the simulated machine and the simulator itself from drowning in
+  /// fruitless probes. The attempt cost doubles every 4 consecutive
+  /// failures, up to steal_backoff_cap_us; with the defaults, T_SLEEP =
+  /// 16 consecutive failed sweeps is ~1.4 ms of sustained starvation.
+  [[nodiscard]] double backed_off(double attempt_cost, int failed) const {
+    const int fails = std::min(failed, 40);
+    return std::min(attempt_cost * std::exp2(static_cast<double>(fails / 4)),
+                    params.steal_backoff_cap_us);
   }
 
   /// Route a newly enabled task: the enabling worker's own deque under
@@ -542,16 +539,12 @@ struct SimEngine::Impl {
     DistanceTier tier = DistanceTier::kVeryNear;
   };
 
-  /// Resolve a steal sweep for worker wi: probe this program's other
-  /// workers and steal the oldest task from the first non-empty pool.
-  /// Under VictimPolicy::kTiered the probe order is near-first — all
-  /// same-group victims, then same-socket, then each remote tier — with a
-  /// random rotation within each tier so equally-near victims share the
-  /// load; UNIFORM is the historical random-start circular sweep. Returns
-  /// the node plus the victim's distance tier (for the per-tier counters
-  /// and the migration charge). Under work-sharing the "sweep" is a poll
-  /// of the central FIFO.
-  SweepResult resolve_steal_sweep(unsigned wi) {
+  /// Resolve worker wi's steal attempt: under work-sharing a poll of the
+  /// central FIFO, otherwise one sweep of its victim order that steals
+  /// the oldest task of the first non-empty pool. Returns the node plus
+  /// the victim's distance tier (for the per-tier counters and the
+  /// migration charge).
+  SweepResult resolve_steal(unsigned wi) {
     WorkerSt& w = workers[wi];
     ProgSt& p = progs[w.prog];
     if (p.spec.work_sharing) {
@@ -560,42 +553,14 @@ struct SimEngine::Impl {
       p.central.pop_front();
       return {node, DistanceTier::kVeryNear};
     }
-    if (k == 1) return {};  // no victims exist
-    // Iterate the program's k worker slots from a random start (slot
-    // index, not core: BWS migration can detach workers from their
-    // original cores). Distance is measured between *current* cores for
-    // the same reason.
-    const unsigned start = static_cast<unsigned>(rng.next_below(k));
-    if (params.victim_policy == VictimPolicy::kTiered) {
-      for (unsigned tier = 0; tier < kNumDistanceTiers; ++tier) {
-        for (unsigned off = 0; off < k; ++off) {
-          const unsigned slot = (start + off) % k;
-          const unsigned victim_idx = widx(w.prog, slot);
-          if (victim_idx == wi) continue;
-          WorkerSt& victim = workers[victim_idx];
-          const DistanceTier d = topo.distance(w.core, victim.core);
-          if (static_cast<unsigned>(d) != tier || victim.pool.empty()) {
-            continue;
-          }
-          const NodeId node = victim.pool.front();
-          victim.pool.pop_front();
-          return {node, d};
-        }
-      }
-      return {};
-    }
-    for (unsigned off = 0; off < k; ++off) {
-      const unsigned slot = (start + off) % k;
-      const unsigned victim_idx = widx(w.prog, slot);
-      if (victim_idx == wi) continue;
-      WorkerSt& victim = workers[victim_idx];
-      if (!victim.pool.empty()) {
-        const NodeId node = victim.pool.front();
-        victim.pool.pop_front();
-        return {node, topo.distance(w.core, victim.core)};
-      }
-    }
-    return {};
+    const auto hit = w.victims.sweep(rng, [&](VictimPick pick) {
+      return !workers[widx(w.prog, pick.victim)].pool.empty();
+    });
+    if (!hit) return {};
+    std::deque<NodeId>& pool = workers[widx(w.prog, hit->victim)].pool;
+    const NodeId node = pool.front();
+    pool.pop_front();
+    return {node, hit->tier};
   }
 
   void worker_sleep(unsigned wi, bool eviction) {
@@ -668,7 +633,7 @@ struct SimEngine::Impl {
       case Op::kSteal: {
         w.op = Op::kNone;
         w.steal_overhead += w.op_cost;
-        if (const SweepResult sw = resolve_steal_sweep(wi);
+        if (const SweepResult sw = resolve_steal(wi);
             sw.node != kNoNode) {
           // A successful central-queue poll (work-sharing) is a pop, not
           // a steal; only deque sweeps count toward the steal stats.

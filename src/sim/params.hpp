@@ -18,7 +18,8 @@ namespace dws::sim {
 struct SimParams {
   // ---- Machine ----
   unsigned num_cores = 16;
-  unsigned num_sockets = 2;  ///< cores are split contiguously across sockets
+  /// Cores are split contiguously across sockets (see topology()).
+  unsigned num_sockets = 2;
   /// OS round-robin time slice per core (Linux CFS-era granularity).
   double quantum_us = 4000.0;
   /// Per-core speed factors for asymmetric machines (§4.4 discussion /
@@ -35,18 +36,20 @@ struct SimParams {
   double steal_cost_us = 1.5;   ///< cross-core steal attempt (hit or miss)
   double wake_latency_us = 8.0; ///< sleep->running transition (futex wake)
   /// Exponential backoff on consecutive failed steals (MIT Cilk paces its
-  /// thieves the same way): attempt cost = steal_cost_us * 2^(failed/2),
-  /// capped here. Calibration note: with the defaults, accumulating
-  /// T_SLEEP = 16 consecutive failures takes ~0.8 ms of *sustained*
-  /// idleness — longer than the sub-millisecond tail of a parallel-for
-  /// phase (so workers survive barriers, matching the paper's §4.4
-  /// no-single-program-degradation claim) but far shorter than a genuine
-  /// low-demand period (a serial merge, a narrow factorization tail), so
-  /// cores are still released exactly when a co-runner could use them.
+  /// thieves the same way): a steal attempt sweeps the k-1 victims and
+  /// costs steal_cost_us * (k-1) * 2^(failed/4), capped here. Calibration
+  /// note: with the defaults, accumulating T_SLEEP = 16 consecutive failed
+  /// sweeps takes ~1.4 ms of *sustained* idleness — longer than the
+  /// sub-millisecond tail of a parallel-for phase (so workers survive
+  /// barriers, matching the paper's §4.4 no-single-program-degradation
+  /// claim) but far shorter than a genuine low-demand period (a serial
+  /// merge, a narrow factorization tail), so cores are still released
+  /// exactly when a co-runner could use them.
   double steal_backoff_cap_us = 500.0;
-  /// Victim ordering for steal sweeps: TIERED probes same-socket victims
-  /// before remote ones (core/victim_order.hpp tier order); UNIFORM is
-  /// the historical random-start circular sweep.
+  /// Victim order of a steal sweep, the same TieredVictimOrder the
+  /// runtime uses (core/victim_order.hpp): TIERED probes same-socket
+  /// victims before remote ones; UNIFORM sweeps all victims as one
+  /// segment.
   VictimPolicy victim_policy = VictimPolicy::kTiered;
   /// One-off transfer cost charged when a steal *succeeds*, indexed by
   /// the victim's distance tier (VERYNEAR..VERYFAR): pulling the task's
@@ -108,12 +111,8 @@ struct SimParams {
   [[nodiscard]] int effective_t_sleep() const noexcept {
     return t_sleep >= 0 ? t_sleep : static_cast<int>(num_cores);
   }
-  [[nodiscard]] unsigned socket_of(CoreId core) const noexcept {
-    const unsigned per = (num_cores + num_sockets - 1) / num_sockets;
-    return core / per;
-  }
-  /// The machine model matching this parameter set (same contiguous
-  /// core-to-socket split as socket_of).
+  /// The machine model matching this parameter set: cores split
+  /// contiguously across num_sockets, clamped to [1, num_cores].
   [[nodiscard]] Topology topology() const {
     return Topology::synthetic(num_cores, num_sockets);
   }

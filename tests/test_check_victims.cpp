@@ -1,16 +1,11 @@
-// Model checks for the tiered victim ordering (core/victim_order.hpp).
+// Model checks for the victim sweep (core/victim_order.hpp).
 //
-// TieredVictimOrder's only nondeterminism is the within-tier reshuffle at
-// each sweep start. Driving its templated Rng through the checker's
-// choose_value() enumerates *every* shuffle outcome, so these scenarios
-// certify — not sample — the two properties the runtime leans on:
-//
-//  * every sweep hands out each victim exactly once, tiers near-to-far
-//    (the locality contract), and
-//  * a continuously failing thief sees every victim within a bounded
-//    window of consecutive probes from *any* interior state, including
-//    around restart() calls — no victim can be starved of probes forever
-//    by an unlucky (or adversarial) shuffle sequence.
+// TieredVictimOrder's only nondeterminism is the start id each sweep
+// draws. Driving its templated Rng through the checker's choose_value()
+// enumerates *every* draw, so this scenario certifies — not samples — the
+// locality contract both executors lean on: every failed sweep probes
+// each victim exactly once, tiers near-to-far. Starvation-freedom
+// follows, since a failed sweep has probed everyone.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,7 +31,7 @@ Options exhaustive() {
 }
 
 /// Rng whose draws are checker decisions: explore() branches on every
-/// possible value, turning each Fisher-Yates swap into a fork point.
+/// possible value, turning each sweep's start into a fork point.
 struct ChooseRng {
   std::uint64_t next_below(std::uint64_t bound) {
     if (bound <= 1) return 0;
@@ -47,7 +42,7 @@ struct ChooseRng {
 
 TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
   // 6 cores, 2 sockets; thief = core 0. Victims 1..2 are NEAR, 3..5 FAR.
-  // All 2! * 3! within-tier orders of both sweeps are explored.
+  // All 6 x 6 start draws of two consecutive sweeps are explored.
   const Result r = check::explore(exhaustive(), [](Sim& sim) {
     sim.spawn([] {
       const Topology topo = Topology::synthetic(6, 2);
@@ -55,11 +50,10 @@ TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
       ChooseRng rng;
       for (int sweep = 0; sweep < 2; ++sweep) {
         std::set<unsigned> seen;
+        std::size_t probes = 0;
         int prev_tier = -1;
-        for (std::size_t i = 0; i < order.size(); ++i) {
-          const VictimPick pick = order.next(rng);
-          check::expect(pick.victim != kNoVictim && pick.victim != 0 &&
-                            pick.victim < 6,
+        const auto hit = order.sweep(rng, [&](VictimPick pick) {
+          check::expect(pick.victim != 0 && pick.victim < 6,
                         "victim out of range");
           check::expect(pick.tier == topo.distance(0, pick.victim),
                         "reported tier disagrees with the topology");
@@ -67,45 +61,13 @@ TEST(VictimOrderCheck, EverySweepIsANearFirstPermutation) {
                         "sweep visited a nearer tier after a farther one");
           prev_tier = static_cast<int>(pick.tier);
           seen.insert(pick.victim);
-        }
-        check::expect(seen.size() == order.size(),
+          ++probes;
+          return false;
+        });
+        check::expect(!hit.has_value(), "a sweep of failing probes hit");
+        check::expect(probes == order.size() && seen.size() == probes,
                       "sweep skipped or repeated a victim");
       }
-    });
-  });
-  EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
-  EXPECT_FALSE(r.truncated);
-  EXPECT_GT(r.executions, 1);
-}
-
-TEST(VictimOrderCheck, NoVictimIsMissedForeverFromAnyInteriorState) {
-  // Starvation-freedom. Adversarial setup: advance the cursor to an
-  // arbitrary interior position (0..n-2 probes), optionally restart()
-  // (a successful steal at that point), then demand that the next
-  // 2*(n-1) - 1 consecutive failed probes cover *all* victims. That
-  // window is tight: a probe sequence resuming mid-sweep needs the tail
-  // of the current permutation plus one full fresh sweep. Explored over
-  // every shuffle outcome, every prefix length, and both restart
-  // branches.
-  const Result r = check::explore(exhaustive(), [](Sim& sim) {
-    sim.spawn([] {
-      const Topology topo = Topology::synthetic(4, 2);
-      const unsigned n = 4;
-      TieredVictimOrder order(topo, /*self=*/0, n);
-      ChooseRng rng;
-      check::Scheduler* sched = check::current();
-
-      const int prefix = sched->choose_value(static_cast<int>(n - 1));
-      for (int i = 0; i < prefix; ++i) (void)order.next(rng);
-      if (sched->choose_value(2) == 1) order.restart();
-
-      std::set<unsigned> seen;
-      const std::size_t window = 2 * (n - 1) - 1;
-      for (std::size_t i = 0; i < window; ++i) {
-        seen.insert(order.next(rng).victim);
-      }
-      check::expect(seen.size() == n - 1,
-                    "a victim was starved of probes across a full window");
     });
   });
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;

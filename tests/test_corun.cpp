@@ -13,6 +13,7 @@
 #include "counter_invariants.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
+#include "test_helpers.hpp"
 
 namespace dws::rt {
 namespace {
@@ -27,26 +28,6 @@ Config corun_config(SchedMode mode, unsigned cores, unsigned programs) {
   cfg.pin_threads = false;
   cfg.coordinator_period_ms = 2.0;
   return cfg;
-}
-
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(1ms);
-  }
-  return pred();
-}
-
-std::int64_t spin_work(std::int64_t iters) {
-  // Opaque arithmetic the optimizer cannot remove.
-  std::int64_t acc = 0;
-  for (std::int64_t i = 0; i < iters; ++i) {
-    acc += i ^ (acc >> 3);
-    asm volatile("" : "+r"(acc));  // optimization barrier
-  }
-  return acc;
 }
 
 // Keeps `sched` saturated from a background thread for the object's
@@ -76,20 +57,12 @@ class Saturator {
  private:
   static constexpr int kChains = 32;
 
-  struct Link {
-    Saturator* self;
-    TaskGroup* group;
-    void operator()() const {
-      if (self->stop_.load(std::memory_order_acquire)) return;
-      self->sched_.spawn(*group, Link{*this});
-      spin_work(self->work_);
-    }
-  };
-
   void drive() {
     TaskGroup group;
     sched_.run([this, &group] {
-      for (int i = 0; i < kChains; ++i) sched_.spawn(group, Link{this, &group});
+      for (int i = 0; i < kChains; ++i) {
+        sched_.spawn(group, ChainLink{&sched_, &group, work_, &stop_});
+      }
     });
     sched_.wait(group);
   }
@@ -173,7 +146,7 @@ TEST(CoRun, BusyProgramBorrowsIdleProgramsCores) {
   Scheduler idle(cfg, &shared.table());
 
   // The idle program's workers sleep and release their home cores.
-  ASSERT_TRUE(eventually([&] { return idle.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return idle.sleeping_workers() == 4; }, 5000ms));
 
   // The busy program should claim those freed cores under load.
   std::atomic<std::int64_t> sum{0};
@@ -193,10 +166,11 @@ TEST(CoRun, OwnerReclaimsCoresWhenItsDemandReturns) {
 
   // Phase 1: a is idle; b, saturated until a finishes, borrows both of
   // a's home cores and keeps them for the whole of phase 2.
-  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 4; }, 5000ms));
   Saturator load_b(b, 50);
   ASSERT_TRUE(eventually(
-      [&] { return shared.table().count_borrowed_from(a.pid()) == 2; }))
+      [&] { return shared.table().count_borrowed_from(a.pid()) == 2; },
+      5000ms))
       << "b never borrowed a's cores";
 
   // Phase 2: a's demand returns; its coordinator must take cores back
@@ -221,18 +195,19 @@ TEST(CoRun, CounterInvariantsHoldAfterCoreExchange) {
   const Config cfg = corun_config(SchedMode::kDws, 4, 2);
   Scheduler a(cfg, &shared.table());
   Scheduler b(cfg, &shared.table());
-  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 4; }, 5000ms));
   {
     Saturator load_b(b, 50);  // b borrows a's released cores...
     ASSERT_TRUE(eventually(
-        [&] { return shared.table().count_borrowed_from(a.pid()) == 2; }));
+        [&] { return shared.table().count_borrowed_from(a.pid()) == 2; },
+        5000ms));
     // ...and a's demand takes them back.
     parallel_for_each_index(a, 0, 2000, 4,
                             [](std::int64_t) { spin_work(100); });
   }
   ASSERT_TRUE(eventually([&] {
     return a.sleeping_workers() == 4 && b.sleeping_workers() == 4;
-  }));
+  }, 5000ms));
   for (const Scheduler* s : {&a, &b}) {
     const SchedulerStats st = s->stats();
     SCOPED_TRACE(s->pid());
@@ -249,11 +224,12 @@ TEST(CoRun, EvictedBorrowerVacatesTheCore) {
   Scheduler a(cfg, &shared.table());
   Scheduler b(cfg, &shared.table());
 
-  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 2; }));
+  ASSERT_TRUE(eventually([&] { return a.sleeping_workers() == 2; }, 5000ms));
   // b under sustained load borrows a's single home core...
   Saturator load_b(b, 200);
   ASSERT_TRUE(eventually(
-      [&] { return shared.table().count_borrowed_from(a.pid()) == 1; }));
+      [&] { return shared.table().count_borrowed_from(a.pid()) == 1; },
+      5000ms));
 
   // ...then a's demand returns and it reclaims; b's worker on that core
   // must observe the eviction and vacate.

@@ -27,6 +27,7 @@
 #include "harness/faults.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
+#include "test_helpers.hpp"
 
 namespace dws::harness {
 namespace {
@@ -53,16 +54,6 @@ CoreTableShm::Options fast_timeout() {
   CoreTableShm::Options opt;
   opt.attach_timeout = 200ms;
   return opt;
-}
-
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds timeout = 10000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(1ms);
-  }
-  return pred();
 }
 
 // ---------------------------------------------------------------------------
@@ -302,19 +293,6 @@ TEST(CrashRecovery, StridedLayoutCorpseSweepLeavesInterleavedSurvivorAlone) {
   EXPECT_EQ(t.count_active(me), kCores / 2);
 }
 
-// A self-renewing task chain: each link spawns its successor before its
-// own work, so a program running a few more chains than it has workers
-// never runs dry, no worker reaches T_SLEEP, and no core is released.
-struct BusyChain {
-  rt::Scheduler* sched;
-  rt::TaskGroup* group;
-  void operator()() const {
-    sched->spawn(*group, BusyChain{*this});
-    volatile std::int64_t acc = 0;
-    for (int i = 0; i < 20000; ++i) acc = acc + i;
-  }
-};
-
 // ---------------------------------------------------------------------------
 // The headline end-to-end scenario: two full Scheduler instances co-run
 // as separate OS processes over the shm table; one is SIGKILLed while
@@ -349,7 +327,7 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
         rt::TaskGroup group;
         sched.run([&] {
           for (int i = 0; i < 8; ++i) {
-            sched.spawn(group, BusyChain{&sched, &group});
+            sched.spawn(group, ChainLink{&sched, &group, 20000});
           }
         });
         sched.wait(group);  // never returns: the chains never end
@@ -390,7 +368,8 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
     // Bounded recovery: stale_after_periods + slack coordinator periods.
     // eventually()'s 10 s ceiling is the hard failure bound; the expected
     // time is stale_after_periods * period ~= 6 ms after the first tick.
-    ASSERT_TRUE(eventually([&] { return t.count_active(victim_pid) == 0; }))
+    ASSERT_TRUE(eventually([&] { return t.count_active(victim_pid) == 0; },
+                           10000ms))
         << "survivor never swept the killed co-runner";
     EXPECT_GE(sched.stats().stale_programs_swept, 1u);
     EXPECT_GE(sched.stats().cores_recovered, 1u);
@@ -408,7 +387,7 @@ TEST(CrashRecovery, SurvivorReclaimsAllCoresAndCompletes) {
     EXPECT_EQ(done.load(), 512);
     ASSERT_TRUE(eventually([&] {
       return t.count_free() + t.count_active(sched.pid()) == kCores;
-    })) << "cores still stuck on the dead pid";
+    }, 10000ms)) << "cores still stuck on the dead pid";
 
     // No segment leaks across rounds: the name exists now, and remove()
     // (the ShmGuard destructor) fully clears it.

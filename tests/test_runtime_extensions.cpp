@@ -9,6 +9,7 @@
 
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
+#include "test_helpers.hpp"
 
 namespace dws::rt {
 namespace {
@@ -22,16 +23,6 @@ Config base_cfg(SchedMode mode) {
   cfg.pin_threads = false;
   cfg.coordinator_period_ms = 2.0;
   return cfg;
-}
-
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds timeout = 3000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(1ms);
-  }
-  return pred();
 }
 
 class WorkSharingRuntime : public ::testing::TestWithParam<SchedMode> {};
@@ -76,7 +67,8 @@ TEST(WorkSharingRuntime2, SleepWakeStillWorks) {
   Config cfg = base_cfg(SchedMode::kDws);
   cfg.work_sharing = true;
   Scheduler sched(cfg);
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
   std::atomic<int> n{0};
   parallel_for_each_index(sched, 0, 500, 4,
                           [&](std::int64_t) { n.fetch_add(1); });
@@ -129,7 +121,8 @@ TEST(AdaptiveTSleepRuntime, ChurnyWorkloadEscalatesOnline) {
   Scheduler sched(cfg);
   std::atomic<long> n{0};
   for (int burst = 0; burst < 10; ++burst) {
-    ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }))
+    ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                           3000ms))
         << "burst " << burst;
     parallel_for_each_index(sched, 0, 200, 2,
                             [&](std::int64_t) { n.fetch_add(1); });

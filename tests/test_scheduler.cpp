@@ -17,6 +17,7 @@
 
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
+#include "test_helpers.hpp"
 
 namespace dws::rt {
 namespace {
@@ -34,16 +35,6 @@ Config make_config(SchedMode mode, unsigned cores, unsigned programs = 1) {
 }
 
 /// Spin until `pred` holds or `timeout` elapses; returns pred().
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds timeout = 3000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(1ms);
-  }
-  return pred();
-}
-
 std::uint64_t parallel_fib(Scheduler& sched, unsigned n) {
   if (n < 2) return n;
   std::uint64_t a = 0, b = 0;
@@ -203,7 +194,7 @@ TEST(SchedulerEp, NonHomeWorkersArePermanentlyParked) {
       if (sched.worker_at(i).state() == Worker::State::kParked) ++parked;
     }
     return parked == 2;
-  }));
+  }, 3000ms));
   // Work still completes on the remaining home workers.
   std::atomic<int> count{0};
   parallel_for_each_index(sched, 0, 1000, 10,
@@ -221,14 +212,16 @@ TEST(SchedulerEp, NonHomeWorkersArePermanentlyParked) {
 TEST(SchedulerDws, IdleProgramReleasesAllCores) {
   Scheduler sched(make_config(SchedMode::kDws, 4, 1));
   // With no work, every worker fails T_SLEEP steals and releases its core.
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
   EXPECT_EQ(sched.table()->count_free(), 4u);
   EXPECT_EQ(sched.active_workers(), 0u);
 }
 
 TEST(SchedulerDws, WakesUpForNewWorkAfterFullSleep) {
   Scheduler sched(make_config(SchedMode::kDws, 4, 1));
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
   // Submitting from the outside must revive the program.
   std::atomic<int> count{0};
   parallel_for_each_index(sched, 0, 500, 5,
@@ -237,7 +230,8 @@ TEST(SchedulerDws, WakesUpForNewWorkAfterFullSleep) {
   EXPECT_GT(sched.stats().totals.sleeps, 0u);
   // The coordinator counts a wake after signalling it, so the counter can
   // trail the woken worker's whole run by one preemption.
-  EXPECT_TRUE(eventually([&] { return sched.stats().coordinator_wakes > 0; }));
+  EXPECT_TRUE(eventually([&] { return sched.stats().coordinator_wakes > 0; },
+                         3000ms));
 }
 
 TEST(SchedulerDws, SecondProgramSlotStartsAsleep) {
@@ -245,7 +239,8 @@ TEST(SchedulerDws, SecondProgramSlotStartsAsleep) {
   // other half's workers must park (their cores are unowned), and the
   // coordinator may later claim the free half under load.
   Scheduler sched(make_config(SchedMode::kDws, 4, 2));
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() >= 2; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() >= 2; },
+                         3000ms));
   // Sustained load lets the coordinator claim the free non-home cores.
   std::atomic<std::int64_t> sum{0};
   parallel_for_each_index(sched, 0, 200000, 16, [&](std::int64_t i) {
@@ -264,7 +259,8 @@ TEST(SchedulerDws, SpawnWhileWorkersSleepFansOutBeforeThePeriod) {
   Config cfg = make_config(SchedMode::kDws, 4, 1);
   cfg.coordinator_period_ms = 1000.0;
   Scheduler sched(cfg);
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
 
   using Clock = std::chrono::steady_clock;
   std::array<Clock::time_point, 4> started{};
@@ -301,7 +297,8 @@ TEST(SchedulerDws, DemandTicksStayBoundedWhenSleepersCannotWinACore) {
   Config cfg = make_config(SchedMode::kDws, 4, 2);
   cfg.coordinator_period_ms = 1000.0;
   Scheduler sched(cfg, &shared.table());
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
 
   using Clock = std::chrono::steady_clock;
   std::atomic<std::uint64_t> leaves{0};
@@ -329,7 +326,8 @@ TEST(SchedulerDws, DemandTicksStayBoundedWhenSleepersCannotWinACore) {
 TEST(SchedulerDwsNc, SleepsAndWakesWithoutATable) {
   Scheduler sched(make_config(SchedMode::kDwsNc, 4));
   EXPECT_EQ(sched.table(), nullptr);
-  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; }));
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
   std::atomic<int> count{0};
   parallel_for_each_index(sched, 0, 500, 5,
                           [&](std::int64_t) { count.fetch_add(1); });
@@ -439,14 +437,16 @@ TEST(SchedulerStats, LiveAggregationIsTearFree) {
   EXPECT_LE(last_tasks, final_tasks);
 }
 
-// The locality breakdown must partition the totals: after the workers
-// quiesce, each per-tier array sums to its aggregate counter, per worker
-// and in the totals. (The worker bumps the aggregate and the tier slot in
-// the same code path; a pick whose tier ever fell outside [0,4) — or a
-// path that skipped the tier bump — breaks the partition.)
+// The locality breakdown after the workers quiesce, per worker and in the
+// totals: steals_by_tier partitions steals, and since one steal attempt
+// is one victim sweep that probes at least one and at most all k-1 other
+// workers, steal_attempts <= sum(probes_by_tier) <= (k-1) * steal_attempts.
+// (A pick whose tier ever fell outside [0,4), or a path that skipped a
+// tier bump, breaks these.)
 TEST(SchedulerStats, PerTierStealCountersPartitionTheTotals) {
   Config cfg = make_config(SchedMode::kDws, 8);
   cfg.num_sockets = 2;  // both NEAR and FAR tiers exist on this machine
+  const std::uint64_t victims = cfg.num_cores - 1;
   Scheduler sched(cfg);
   for (int round = 0; round < 20; ++round) {
     parallel_for_each_index(sched, 0, 400, 4, [](std::int64_t) {});
@@ -461,23 +461,43 @@ TEST(SchedulerStats, PerTierStealCountersPartitionTheTotals) {
         cur.totals.steals == s.totals.steals;
     s = cur;
     return stable;
-  });
+  }, 3000ms);
   EXPECT_GT(s.totals.steal_attempts, 0u);
-  std::uint64_t attempts_sum = 0, steals_sum = 0;
+  std::uint64_t probes = 0, steals_sum = 0;
   for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-    attempts_sum += s.totals.steal_attempts_by_tier[t];
+    probes += s.totals.probes_by_tier[t];
     steals_sum += s.totals.steals_by_tier[t];
   }
-  EXPECT_EQ(attempts_sum, s.totals.steal_attempts);
+  EXPECT_LE(s.totals.steal_attempts, probes);
+  EXPECT_LE(probes, victims * s.totals.steal_attempts);
   EXPECT_EQ(steals_sum, s.totals.steals);
   for (const WorkerStats& w : s.per_worker) {
-    std::uint64_t wa = 0, wsum = 0;
+    std::uint64_t wp = 0, wsum = 0;
     for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
-      wa += w.steal_attempts_by_tier[t];
+      wp += w.probes_by_tier[t];
       wsum += w.steals_by_tier[t];
     }
-    EXPECT_EQ(wa, w.steal_attempts);
+    EXPECT_LE(w.steal_attempts, wp);
+    EXPECT_LE(wp, victims * w.steal_attempts);
     EXPECT_EQ(wsum, w.steals);
+  }
+}
+
+// One steal attempt is one victim sweep in the runtime, as in the
+// simulator: an idle DWS worker with T_SLEEP = 2 sleeps after two failed
+// sweeps, each of which probed all k-1 = 3 other workers.
+TEST(SchedulerStats, IdleWorkerSleepsAfterTSleepFailedSweeps) {
+  Config cfg = make_config(SchedMode::kDws, 4);
+  cfg.t_sleep = 2;
+  Scheduler sched(cfg);
+  ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() == 4; },
+                         3000ms));
+  for (const WorkerStats& w : sched.stats().per_worker) {
+    EXPECT_EQ(w.failed_steals, 2u);
+    EXPECT_EQ(w.sleeps, 1u);
+    std::uint64_t probes = 0;
+    for (std::uint64_t n : w.probes_by_tier) probes += n;
+    EXPECT_EQ(probes, 6u);
   }
 }
 
@@ -495,7 +515,7 @@ TEST(SchedulerStats, TieredPolicyRecordsNearSteals) {
   }
   const SchedulerStats s = sched.stats();
   const auto near =
-      s.totals.steal_attempts_by_tier[static_cast<int>(DistanceTier::kNear)];
+      s.totals.probes_by_tier[static_cast<int>(DistanceTier::kNear)];
   EXPECT_GT(near, 0u) << "tiered selection never probed a near victim";
 }
 

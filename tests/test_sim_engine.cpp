@@ -300,6 +300,40 @@ TEST(SimEngine, SingleCoreMachineStillCompletes) {
   }
 }
 
+TEST(SimEngine, SocketCountIsClampedToTheCoreCount) {
+  // The cache model's per-socket state follows the engine's machine model,
+  // which clamps the socket count to [1, k]: 0 sockets (which used to
+  // divide by zero) behaves as 1, and more sockets than cores as k.
+  const TaskDag dag = make_fork_join_tree(6, 2, 120.0, 1.0, 1.0, 0.5);
+  const auto run = [&](unsigned sockets) {
+    return simulate_solo(small_machine(4, sockets),
+                         spec("p", SchedMode::kDws, &dag, 2, 0.5));
+  };
+  const auto expect_same = [](const SimResult& a, const SimResult& b) {
+    EXPECT_EQ(a.total_time_us, b.total_time_us);
+    const ProgramResult& pa = a.programs[0];
+    const ProgramResult& pb = b.programs[0];
+    EXPECT_EQ(pa.run_times_us, pb.run_times_us);
+    EXPECT_EQ(pa.cache_penalty_us, pb.cache_penalty_us);
+    EXPECT_EQ(pa.steals, pb.steals);
+    EXPECT_EQ(pa.failed_steals, pb.failed_steals);
+    EXPECT_EQ(pa.sleeps, pb.sleeps);
+    for (unsigned t = 0; t < kNumDistanceTiers; ++t) {
+      EXPECT_EQ(pa.steals_by_tier[t], pb.steals_by_tier[t]) << "tier " << t;
+    }
+  };
+  const SimResult one = run(1);
+  EXPECT_GT(one.programs[0].cache_penalty_us, 0.0);
+  {
+    SCOPED_TRACE("0 sockets vs 1");
+    expect_same(run(0), one);
+  }
+  {
+    SCOPED_TRACE("9 sockets vs 4 (= k)");
+    expect_same(run(9), run(4));
+  }
+}
+
 TEST(SimEngine, PerTierStealsPartitionTotalSteals) {
   const TaskDag dag = make_fork_join_tree(8, 2, 100.0, 1.0, 1.0, 0.2);
   for (VictimPolicy policy :

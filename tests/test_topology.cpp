@@ -1,9 +1,7 @@
-// The NUMA machine model and the locality-aware victim ordering built on
-// it: metric properties of Topology::distance (symmetry, triangle
-// inequality, identity), agreement between the synthetic layout and the
-// simulator's socket split, tier-by-tier sweeps of TieredVictimOrder, and
-// the uniform_victim regression suite (single-worker edge + uniformity of
-// the skip-self mapping).
+// The NUMA machine model and the victim sweep built on it: metric
+// properties of Topology::distance (symmetry, triangle inequality,
+// identity), the simulator's socket split (clamped, ceil division), and
+// the sweeps of TieredVictimOrder under both victim policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,21 +34,22 @@ TEST(Topology, SyntheticTwoSocketMatchesThePaperTestbed) {
 }
 
 TEST(Topology, SyntheticMatchesSimParamsSocketSplit) {
-  // The simulator's ceil-division split and the Topology factory must
-  // agree on every (cores, sockets) shape, or the cache model and the
-  // victim ordering would disagree about which steals are remote.
+  // The simulator's machine model (SimParams::topology) splits the cores
+  // contiguously by ceil division, with the socket count clamped to
+  // [1, k]; the cache model and the victim sweep both read this split.
   for (unsigned k : {1u, 2u, 3u, 7u, 8u, 15u, 16u, 17u}) {
-    for (unsigned s : {1u, 2u, 3u, 4u}) {
+    for (unsigned s : {0u, 1u, 2u, 3u, 4u, 40u}) {
       sim::SimParams params;
       params.num_cores = k;
       params.num_sockets = s;
       const Topology t = params.topology();
       ASSERT_EQ(t.num_cores(), k);
+      const unsigned sockets = std::clamp(s, 1u, k);
+      EXPECT_EQ(t.num_sockets(), sockets) << "k=" << k << " s=" << s;
+      const unsigned per = (k + sockets - 1) / sockets;
       for (CoreId c = 0; c < k; ++c) {
-        if (s <= k) {
-          EXPECT_EQ(t.socket_of(c), params.socket_of(c))
-              << "k=" << k << " s=" << s << " core=" << c;
-        }
+        EXPECT_EQ(t.socket_of(c), c / per)
+            << "k=" << k << " s=" << s << " core=" << c;
       }
     }
   }
@@ -160,6 +159,18 @@ TEST(VictimPolicyNames, RoundTrip) {
 
 // ------------------------------------------------------- TieredVictimOrder
 
+/// The probe order of one sweep in which every probe fails.
+std::vector<VictimPick> failed_sweep(TieredVictimOrder& order,
+                                     util::Xoshiro256& rng) {
+  std::vector<VictimPick> probed;
+  const auto hit = order.sweep(rng, [&](VictimPick pick) {
+    probed.push_back(pick);
+    return false;
+  });
+  EXPECT_FALSE(hit.has_value());
+  return probed;
+}
+
 TEST(TieredVictimOrder, SweepIsAPermutationWithNonDecreasingTiers) {
   const Topology topo = Topology::synthetic(8, 2, 2);
   util::Xoshiro256 rng(42);
@@ -169,9 +180,7 @@ TEST(TieredVictimOrder, SweepIsAPermutationWithNonDecreasingTiers) {
     for (int sweep = 0; sweep < 4; ++sweep) {
       std::set<unsigned> seen;
       int prev_tier = -1;
-      for (std::size_t i = 0; i < order.size(); ++i) {
-        const VictimPick pick = order.next(rng);
-        ASSERT_NE(pick.victim, kNoVictim);
+      for (const VictimPick pick : failed_sweep(order, rng)) {
         ASSERT_NE(pick.victim, self);
         ASSERT_LT(pick.victim, 8u);
         EXPECT_EQ(pick.tier, topo.distance(self, pick.victim));
@@ -189,32 +198,50 @@ TEST(TieredVictimOrder, NearVictimsAreProbedBeforeRemoteOnes) {
   const Topology topo = Topology::synthetic(16, 2);
   util::Xoshiro256 rng(7);
   TieredVictimOrder order(topo, /*self=*/0, 16);
-  // Cores 1..7 share socket 0 with the thief; they must be handed out
-  // before any of 8..15, in every sweep, whatever the shuffles do.
+  // Cores 1..7 share socket 0 with the thief; they must be probed before
+  // any of 8..15, in every sweep, whatever the shuffles do.
   for (int sweep = 0; sweep < 8; ++sweep) {
+    const std::vector<VictimPick> probed = failed_sweep(order, rng);
+    ASSERT_EQ(probed.size(), 15u);
     for (int i = 0; i < 7; ++i) {
-      const VictimPick pick = order.next(rng);
-      EXPECT_LT(pick.victim, 8u) << "remote victim before near exhausted";
-      EXPECT_EQ(pick.tier, DistanceTier::kNear);
+      EXPECT_LT(probed[i].victim, 8u) << "remote victim before near exhausted";
+      EXPECT_EQ(probed[i].tier, DistanceTier::kNear);
     }
-    for (int i = 0; i < 8; ++i) {
-      const VictimPick pick = order.next(rng);
-      EXPECT_GE(pick.victim, 8u);
-      EXPECT_EQ(pick.tier, DistanceTier::kFar);
+    for (int i = 7; i < 15; ++i) {
+      EXPECT_GE(probed[i].victim, 8u);
+      EXPECT_EQ(probed[i].tier, DistanceTier::kFar);
     }
   }
 }
 
-TEST(TieredVictimOrder, RestartRewindsToTheNearestTier) {
+TEST(TieredVictimOrder, SweepStopsAtTheFirstHit) {
+  // A hit ends the attempt: nothing after it is probed, and the pick that
+  // hit (with its tier) is what the sweep returns. Every sweep starts
+  // near-first again, so a far victim is reached only after the whole
+  // near tier failed.
   const Topology topo = Topology::synthetic(16, 2);
   util::Xoshiro256 rng(11);
   TieredVictimOrder order(topo, /*self=*/0, 16);
-  // Walk deep into the far tier, then simulate a successful steal.
-  for (int i = 0; i < 10; ++i) (void)order.next(rng);
-  order.restart();
-  const VictimPick pick = order.next(rng);
-  EXPECT_EQ(pick.tier, DistanceTier::kNear)
-      << "a fresh hunger episode must start near-first";
+  for (const unsigned target : {3u, 12u}) {
+    for (int sweep = 0; sweep < 8; ++sweep) {
+      std::vector<VictimPick> probed;
+      const auto hit = order.sweep(rng, [&](VictimPick pick) {
+        probed.push_back(pick);
+        return pick.victim == target;
+      });
+      ASSERT_TRUE(hit.has_value());
+      EXPECT_EQ(hit->victim, target);
+      EXPECT_EQ(hit->tier, topo.distance(0, target));
+      ASSERT_FALSE(probed.empty());
+      EXPECT_EQ(probed.back().victim, target);
+      EXPECT_EQ(probed.front().tier, DistanceTier::kNear);
+      if (target < 8) {
+        EXPECT_LE(probed.size(), 7u);
+      } else {
+        EXPECT_GE(probed.size(), 8u);
+      }
+    }
+  }
 }
 
 TEST(TieredVictimOrder, WithinTierOrderIsShuffledAcrossSweeps) {
@@ -224,13 +251,13 @@ TEST(TieredVictimOrder, WithinTierOrderIsShuffledAcrossSweeps) {
   std::vector<std::vector<unsigned>> sweeps;
   for (int s = 0; s < 6; ++s) {
     std::vector<unsigned> one;
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      one.push_back(order.next(rng).victim);
+    for (const VictimPick pick : failed_sweep(order, rng)) {
+      one.push_back(pick.victim);
     }
     sweeps.push_back(std::move(one));
   }
-  // 15! orderings; six identical consecutive sweeps means the reshuffle
-  // is not happening.
+  // 16 possible starts; six identical consecutive sweeps means the order
+  // is not being redrawn.
   bool any_different = false;
   for (std::size_t s = 1; s < sweeps.size(); ++s) {
     if (sweeps[s] != sweeps[0]) any_different = true;
@@ -238,55 +265,41 @@ TEST(TieredVictimOrder, WithinTierOrderIsShuffledAcrossSweeps) {
   EXPECT_TRUE(any_different);
 }
 
+TEST(TieredVictimOrder, UniformPolicyIsOneSegmentSpanningTiers) {
+  // kUniform: one segment over all victims. Each sweep still probes every
+  // victim once and reports its real tier, but near and far victims mix,
+  // and the order changes from sweep to sweep.
+  const Topology topo = Topology::synthetic(16, 2);
+  util::Xoshiro256 rng(5);
+  TieredVictimOrder order(topo, /*self=*/0, 16, VictimPolicy::kUniform);
+  ASSERT_EQ(order.size(), 15u);
+  bool far_before_near = false;
+  std::set<std::vector<unsigned>> orders;
+  for (int sweep = 0; sweep < 20; ++sweep) {
+    std::vector<unsigned> one;
+    bool seen_far = false;
+    for (const VictimPick pick : failed_sweep(order, rng)) {
+      EXPECT_NE(pick.victim, 0u);
+      EXPECT_EQ(pick.tier, topo.distance(0, pick.victim));
+      if (pick.tier == DistanceTier::kFar) seen_far = true;
+      if (pick.tier == DistanceTier::kNear && seen_far) far_before_near = true;
+      one.push_back(pick.victim);
+    }
+    EXPECT_EQ(std::set<unsigned>(one.begin(), one.end()).size(), 15u)
+        << "sweep skipped or repeated a victim";
+    orders.insert(std::move(one));
+  }
+  EXPECT_TRUE(far_before_near) << "the single segment kept tiers apart";
+  EXPECT_GT(orders.size(), 1u) << "the order is not redrawn per sweep";
+}
+
 TEST(TieredVictimOrder, SingleWorkerHasNoVictims) {
   const Topology topo = Topology::uniform(1);
   util::Xoshiro256 rng(1);
-  TieredVictimOrder order(topo, 0, 1);
-  EXPECT_TRUE(order.empty());
-  EXPECT_EQ(order.next(rng).victim, kNoVictim);
-}
-
-// ------------------------------------------------- uniform_victim (legacy)
-
-TEST(UniformVictim, SingleWorkerReturnsNoVictim) {
-  // Regression: with one worker there are zero victims and the guard must
-  // fire *before* the rng draw — next_below(0) would otherwise be asked
-  // for a uniform draw from an empty range (it pins to 0, which would
-  // then be "steal from yourself").
-  util::Xoshiro256 rng(5);
-  EXPECT_EQ(uniform_victim(rng, 1, 0), kNoVictim);
-  EXPECT_EQ(uniform_victim(rng, 0, 0), kNoVictim);
-}
-
-TEST(UniformVictim, NeverSelfNeverOutOfRange) {
-  util::Xoshiro256 rng(99);
-  for (unsigned n = 2; n <= 8; ++n) {
-    for (unsigned self = 0; self < n; ++self) {
-      for (int i = 0; i < 2000; ++i) {
-        const unsigned v = uniform_victim(rng, n, self);
-        ASSERT_LT(v, n);
-        ASSERT_NE(v, self);
-      }
-    }
-  }
-}
-
-TEST(UniformVictim, CoverageIsUniformAcrossVictims) {
-  // Pins the skip-self mapping: every victim id (including those above
-  // `self`, which are reached via the +1 shift) must land within 10% of
-  // the expected share. A modulo-biased draw or an off-by-one in the
-  // shift skews the tails far beyond that.
-  constexpr unsigned kN = 8;
-  constexpr unsigned kSelf = 3;
-  constexpr int kDraws = 70000;
-  util::Xoshiro256 rng(1234);
-  std::vector<int> hits(kN, 0);
-  for (int i = 0; i < kDraws; ++i) ++hits[uniform_victim(rng, kN, kSelf)];
-  EXPECT_EQ(hits[kSelf], 0);
-  const double expected = static_cast<double>(kDraws) / (kN - 1);
-  for (unsigned v = 0; v < kN; ++v) {
-    if (v == kSelf) continue;
-    EXPECT_NEAR(hits[v], expected, 0.10 * expected) << "victim " << v;
+  for (VictimPolicy policy : {VictimPolicy::kTiered, VictimPolicy::kUniform}) {
+    TieredVictimOrder order(topo, 0, 1, policy);
+    EXPECT_TRUE(order.empty());
+    EXPECT_TRUE(failed_sweep(order, rng).empty());
   }
 }
 

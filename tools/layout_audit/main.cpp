@@ -100,7 +100,7 @@ struct Access {
       DWS_AUDIT_FIELD(wakes, "owned_by:worker");
       DWS_AUDIT_FIELD(evictions, "owned_by:worker");
       DWS_AUDIT_FIELD(steals_by_tier, "owned_by:worker");
-      DWS_AUDIT_FIELD(steal_attempts_by_tier, "owned_by:worker");
+      DWS_AUDIT_FIELD(probes_by_tier, "owned_by:worker");
       DWS_AUDIT_FIELD(heap_spawns, "owned_by:worker");
     }
     {
