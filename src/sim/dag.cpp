@@ -107,34 +107,16 @@ std::string TaskDag::validate() const {
     }
   }
 
-  // Acyclicity + reachability via Kahn-style walk along spawn edges and
-  // continuation edges (a continuation is "unlocked" when all its join
+  // Reachability + acyclicity in one colored DFS from the root along spawn
+  // and continuation edges (a continuation is "unlocked" when all its join
   // predecessors executed; for reachability treat it as an ordinary edge).
-  std::vector<char> seen(nodes_.size(), 0);
-  std::vector<NodeId> order{root_};
-  seen[root_] = 1;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const DagNode& n = nodes_[order[i]];
-    auto push = [&](NodeId v) {
-      if (!seen[v]) {
-        seen[v] = 1;
-        order.push_back(v);
-      }
-    };
-    for (NodeId v : n.spawns) push(v);
-    if (n.continuation != kNoNode) push(n.continuation);
-  }
-  if (order.size() != nodes_.size()) {
-    std::ostringstream os;
-    os << (nodes_.size() - order.size()) << " nodes unreachable from root";
-    return os.str();
-  }
-
-  // Cycle check: longest-path DFS would recurse forever on a cycle; run a
-  // colored DFS instead.
+  // The DFS visits every reachable node once even on a cycle; an
+  // unreachable node is reported before a cycle.
   std::vector<char> color(nodes_.size(), 0);  // 0 white, 1 gray, 2 black
   std::vector<std::pair<NodeId, std::size_t>> stack{{root_, 0}};
   color[root_] = 1;
+  std::size_t reached = 1;
+  bool cycle = false;
   while (!stack.empty()) {
     auto& [u, idx] = stack.back();
     const DagNode& n = nodes_[u];
@@ -148,12 +130,19 @@ std::string TaskDag::validate() const {
     const NodeId v =
         idx < n.spawns.size() ? n.spawns[idx] : n.continuation;
     ++idx;
-    if (color[v] == 1) return "cycle detected";
+    if (color[v] == 1) cycle = true;
     if (color[v] == 0) {
       color[v] = 1;
+      ++reached;
       stack.emplace_back(v, 0);
     }
   }
+  if (reached != nodes_.size()) {
+    std::ostringstream os;
+    os << (nodes_.size() - reached) << " nodes unreachable from root";
+    return os.str();
+  }
+  if (cycle) return "cycle detected";
   return {};
 }
 

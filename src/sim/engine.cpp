@@ -1,10 +1,11 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
-#include <queue>
 #include <stdexcept>
+#include <utility>
 
 #include "core/victim_order.hpp"
 
@@ -13,6 +14,73 @@ namespace dws::sim {
 namespace {
 constexpr double kEps = 1e-9;
 constexpr unsigned kNoWorker = 0xFFFFFFFFu;
+
+/// A power-of-two ring of task ids: the owner pushes and pops at the
+/// back, thieves (and work-sharing pollers) take from the front.
+class NodeRing {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == tail_; }
+  [[nodiscard]] std::size_t size() const noexcept { return tail_ - head_; }
+  void push_back(NodeId n) {
+    if (size() == buf_.size()) grow();
+    buf_[tail_++ & mask_] = n;
+  }
+  NodeId pop_back() noexcept { return buf_[--tail_ & mask_]; }
+  NodeId pop_front() noexcept { return buf_[head_++ & mask_]; }
+
+ private:
+  void grow() {
+    std::vector<NodeId> bigger(std::max<std::size_t>(16, 2 * buf_.size()));
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i) bigger[i] = buf_[(head_ + i) & mask_];
+    buf_ = std::move(bigger);
+    mask_ = buf_.size() - 1;
+    head_ = 0;
+    tail_ = n;
+  }
+
+  std::vector<NodeId> buf_;
+  std::size_t mask_ = 0;
+  std::size_t head_ = 0, tail_ = 0;  // free-running; index with & mask_
+};
+
+/// One DAG node as the hot path reads it: work, the memory intensity with
+/// the program default already applied, the continuation, and where the
+/// node's spawns start in DagView::spawns.
+struct FlatNode {
+  double work_us;
+  double mem_intensity;
+  NodeId continuation;
+  std::uint32_t first_spawn;
+};
+
+/// A program's DAG flattened for the engine. Node n spawns
+/// spawns[nodes[n].first_spawn .. nodes[n + 1].first_spawn) (CSR form; a
+/// sentinel node closes the last range), and joins[n] is its join fan-in.
+struct DagView {
+  std::vector<FlatNode> nodes;  // size() + 1 entries
+  std::vector<NodeId> spawns;
+  std::vector<std::uint32_t> joins;
+
+  DagView() = default;
+  DagView(const TaskDag& dag, double default_mem_intensity) {
+    const std::size_t n = dag.size();
+    nodes.reserve(n + 1);
+    spawns.reserve(n);  // a valid DAG spawns each node at most once
+    joins.assign(n, 0);
+    for (NodeId u = 0; u < n; ++u) {
+      const DagNode& d = dag.node(u);
+      nodes.push_back(FlatNode{
+          d.work_us,
+          d.mem_intensity >= 0.0 ? d.mem_intensity : default_mem_intensity,
+          d.continuation, static_cast<std::uint32_t>(spawns.size())});
+      spawns.insert(spawns.end(), d.spawns.begin(), d.spawns.end());
+      if (d.continuation != kNoNode) ++joins[d.continuation];
+    }
+    nodes.push_back(FlatNode{0.0, 0.0, kNoNode,
+                             static_cast<std::uint32_t>(spawns.size())});
+  }
+};
 }  // namespace
 
 const ProgramResult& SimResult::program(const std::string& name) const {
@@ -41,7 +109,7 @@ struct SimEngine::Impl {
     unsigned prog = 0;   // program index (0-based)
     CoreId core = 0;
     WState st = WState::kRunnable;
-    std::deque<NodeId> pool;  // back = bottom (owner end), front = top
+    NodeRing pool;  // back = bottom (owner end), front = top
     StealPolicy policy{SchedMode::kDws, 0};
     TieredVictimOrder victims;  // the program's other worker slots
     Op op = Op::kNone;
@@ -63,24 +131,24 @@ struct SimEngine::Impl {
     double quantum_left = 0.0;
     double seg_start = 0.0;
     double seg_len = 0.0;
-    std::uint64_t epoch = 0;  // invalidates stale scheduled segments
+    std::uint64_t seg_seq = 0;  // seq of the pending segment event
     double busy_us = 0.0;
     double exec_us = 0.0;
-    // cache bookkeeping: cumulative execution time on this core, total and
-    // per program (lazy warmth decay reads the difference).
-    double exec_total = 0.0;
-    std::vector<double> exec_by;  // [program]
   };
 
-  struct SocketSt {
-    double exec_total = 0.0;
-    std::vector<double> exec_by;  // [program]
+  /// One program's state in one cache: warmth in [0,1], the program's own
+  /// cumulative execution time there, and the foreign time already decayed
+  /// into the warmth (lazy decay reads the difference).
+  struct Warmth {
+    double warmth = 0.0;
+    double exec_by = 0.0;
+    double foreign_seen = 0.0;
   };
 
   struct ProgSt {
     SimProgramSpec spec;
     ProgramId pid = kNoProgram;  // table id (1-based)
-    std::vector<std::uint32_t> base_joins;
+    DagView dag;
     std::vector<std::uint32_t> join_left;
     std::uint32_t tasks_left = 0;
     unsigned runs_done = 0;
@@ -91,20 +159,19 @@ struct SimEngine::Impl {
     CoordinatorCounters counts;
     CoreId start_core = 0;
     /// Work-sharing variant (§4.4): the per-program central task FIFO.
-    std::deque<NodeId> central;
+    NodeRing central;
     /// Adaptive T_SLEEP extension: current program-wide threshold.
     int cur_t_sleep = 0;
   };
 
   std::vector<WorkerSt> workers;  // [prog * k + core]
   std::vector<CoreSt> cores;
-  std::vector<SocketSt> sockets;
   std::vector<ProgSt> progs;
 
-  // warmth[core][prog] in [0,1], plus the foreign-time snapshot for lazy
-  // decay; same pair per socket.
-  std::vector<std::vector<double>> core_warmth, core_foreign_seen;
-  std::vector<std::vector<double>> llc_warmth, llc_foreign_seen;
+  // The cache model's caches: each core's private cache (index = core),
+  // then each socket's LLC (index = k + socket).
+  std::vector<double> cache_exec;  // [cache]: cumulative execution time
+  std::vector<Warmth> warmth;      // [cache * m + program]
 
   util::Xoshiro256 rng{0};
 
@@ -113,19 +180,25 @@ struct SimEngine::Impl {
   Topology topo;
 
   // ---- event queue ----
-  enum class Ev : int { kCoreSeg, kCoordTick, kWake, kSample };
-  struct Event {
-    double t;
-    std::uint64_t seq;
-    Ev kind;
-    std::uint32_t a;       // core / program / worker index
-    std::uint64_t epoch;   // for kCoreSeg
-    bool operator>(const Event& o) const {
-      if (t != o.t) return t > o.t;
-      return seq > o.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
+  // An event is a 16-byte key: the time's bits in the high word (times are
+  // >= 0, and the bits of non-negative doubles order like their values),
+  // `seq << src_bits | source` in the low word. One integer compare orders
+  // events by (time, seq), seq being unique. The source names the
+  // handler: core c's segment is c, program p's coordinator tick k + p,
+  // worker w's wake k + m + w, the timeline sample k + m + m*k.
+  //
+  // The most recently scheduled event waits in the one-entry `held` slot
+  // and enters the heap only when another event is scheduled while it is
+  // still there. A core usually schedules its next segment while handling
+  // the previous one, and that segment is often the earliest pending
+  // event, so it never touches the heap. When the heap's root is popped
+  // instead, the held event takes the root's place in one sift-down and
+  // the slot is free again for the next event.
+  __extension__ typedef unsigned __int128 Key;
+  static constexpr Key kNoKey = ~Key{0};
+  std::vector<Key> heap;  // binary min-heap
+  Key held = kNoKey;
+  unsigned src_bits = 0;
   std::uint64_t next_seq = 0;
   double now = 0.0;
   bool finished = false;
@@ -144,9 +217,61 @@ struct SimEngine::Impl {
     trace.push_back(TraceEvent{now, kind, prog, core, node});
   }
 
-  void push_event(double t, Ev kind, std::uint32_t a, std::uint64_t epoch = 0) {
-    events.push(Event{t, next_seq++, kind, a, epoch});
+  /// Schedule the event of `source` at time t; returns its seq.
+  std::uint64_t push_event(double t, std::uint32_t source) {
+    const std::uint64_t seq = next_seq++;
+    if (held != kNoKey) heap_push(held);
+    held = (Key{std::bit_cast<std::uint64_t>(t)} << 64) |
+           (seq << src_bits | source);
+    return seq;
   }
+
+  /// Remove and return the earliest event; kNoKey when none is pending.
+  Key pop_event() {
+    if (heap.empty() || held < heap[0]) return std::exchange(held, kNoKey);
+    const Key top = heap[0];
+    Key fill = std::exchange(held, kNoKey);
+    if (fill == kNoKey) {
+      fill = heap.back();
+      heap.pop_back();
+      if (heap.empty()) return top;
+    }
+    sift_down(fill);
+    return top;
+  }
+
+  void heap_push(Key key) {
+    std::size_t i = heap.size();
+    heap.push_back(key);
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!(key < heap[parent])) break;
+      heap[i] = heap[parent];
+      i = parent;
+    }
+    heap[i] = key;
+  }
+
+  /// Put `key` at the root (whose key has been taken) and restore order.
+  void sift_down(Key key) {
+    const std::size_t n = heap.size();
+    std::size_t i = 0;
+    for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+      if (!(heap[child] < key)) break;
+      heap[i] = heap[child];
+      i = child;
+    }
+    heap[i] = key;
+  }
+
+  [[nodiscard]] std::uint32_t tick_source(unsigned prog) const {
+    return k + prog;
+  }
+  [[nodiscard]] std::uint32_t wake_source(unsigned wi) const {
+    return k + m + wi;
+  }
+  [[nodiscard]] std::uint32_t sample_source() const { return k + m + m * k; }
 
   [[nodiscard]] unsigned widx(unsigned prog, CoreId core) const {
     return prog * k + core;
@@ -175,18 +300,14 @@ struct SimEngine::Impl {
     }
     rng = util::Xoshiro256(params.seed);
     topo = params.topology();
+    src_bits = static_cast<unsigned>(std::bit_width(sample_source()));
 
     table_storage = std::make_unique<CoreTableLocal>(k, m);
     table = &table_storage->table();
 
     cores.resize(k);
-    for (auto& c : cores) c.exec_by.assign(m, 0.0);
-    sockets.resize(topo.num_sockets());
-    for (auto& s2 : sockets) s2.exec_by.assign(m, 0.0);
-    core_warmth.assign(k, std::vector<double>(m, 0.0));
-    core_foreign_seen.assign(k, std::vector<double>(m, 0.0));
-    llc_warmth.assign(topo.num_sockets(), std::vector<double>(m, 0.0));
-    llc_foreign_seen.assign(topo.num_sockets(), std::vector<double>(m, 0.0));
+    cache_exec.assign(k + topo.num_sockets(), 0.0);
+    warmth.resize(cache_exec.size() * m);
 
     progs.resize(m);
     workers.resize(static_cast<std::size_t>(m) * k);
@@ -195,7 +316,7 @@ struct SimEngine::Impl {
       ProgSt& p2 = progs[pi];
       p2.spec = specs[pi];
       p2.pid = table->register_program();
-      p2.base_joins = p2.spec.dag->join_counts();
+      p2.dag = DagView(*p2.spec.dag, p2.spec.default_mem_intensity);
       p2.policy = CoordinatorPolicy(params.wake_threshold);
       p2.cur_t_sleep = params.effective_t_sleep();
 
@@ -252,13 +373,12 @@ struct SimEngine::Impl {
       if (mode_sleeps(progs[pi].spec.mode)) {
         // Small stagger mimics non-identical process launch instants and
         // keeps tick ordering well-defined without tie storms.
-        push_event(params.coordinator_period_us + 17.0 * pi, Ev::kCoordTick,
-                   pi);
+        push_event(params.coordinator_period_us + 17.0 * pi, tick_source(pi));
       }
     }
     for (CoreId c = 0; c < k; ++c) pick_next(c);
     if (params.timeline_sample_period_us > 0.0) {
-      push_event(params.timeline_sample_period_us, Ev::kSample, 0);
+      push_event(params.timeline_sample_period_us, sample_source());
     }
   }
 
@@ -277,14 +397,14 @@ struct SimEngine::Impl {
     }
     sample.free_cores = table->count_free();
     timeline.push_back(std::move(sample));
-    push_event(now + params.timeline_sample_period_us, Ev::kSample, 0);
+    push_event(now + params.timeline_sample_period_us, sample_source());
   }
 
   // ---- program run lifecycle ----
 
   void start_run(unsigned pi, unsigned start_worker) {
     ProgSt& p = progs[pi];
-    p.join_left = p.base_joins;
+    p.join_left = p.dag.joins;
     p.tasks_left = static_cast<std::uint32_t>(p.spec.dag->size());
     p.run_start = now;
     emit(TraceKind::kRunStart, pi, workers[start_worker].core);
@@ -338,63 +458,50 @@ struct SimEngine::Impl {
 
   // ---- cache model ----
 
-  [[nodiscard]] double mem_intensity_of(const ProgSt& p, NodeId n) const {
-    const double mi = p.spec.dag->node(n).mem_intensity;
-    return mi >= 0.0 ? mi : p.spec.default_mem_intensity;
+  [[nodiscard]] unsigned llc_of(CoreId c) const {
+    return k + topo.socket_of(c);
   }
 
-  /// Apply pending foreign-execution decay to warmth[idx][pi], given the
-  /// cumulative counters, then return the refreshed warmth.
-  static double touch_warmth(std::vector<double>& warmth,
-                             std::vector<double>& foreign_seen, unsigned pi,
-                             double exec_total, double exec_by_p,
-                             double decay_const) {
-    const double foreign_now = exec_total - exec_by_p;
-    const double delta = foreign_now - foreign_seen[pi];
+  /// Apply program pi's pending foreign-execution decay in `cache`, then
+  /// return its refreshed entry.
+  Warmth& touch_warmth(unsigned cache, unsigned pi, double decay_const) {
+    Warmth& e = warmth[cache * m + pi];
+    const double foreign_now = cache_exec[cache] - e.exec_by;
+    const double delta = foreign_now - e.foreign_seen;
     if (delta > 0.0) {
-      warmth[pi] *= std::exp(-delta / decay_const);
-      foreign_seen[pi] = foreign_now;
+      e.warmth *= std::exp(-delta / decay_const);
+      e.foreign_seen = foreign_now;
     }
-    return warmth[pi];
+    return e;
   }
 
   double current_slowdown(const WorkerSt& w) {
-    const ProgSt& p = progs[w.prog];
-    const double mi = mem_intensity_of(p, w.exec_node);
+    const double mi = progs[w.prog].dag.nodes[w.exec_node].mem_intensity;
     if (mi <= 0.0) return 1.0;
-    CoreSt& c = cores[w.core];
-    const unsigned s = topo.socket_of(w.core);
     const double wc =
-        touch_warmth(core_warmth[w.core], core_foreign_seen[w.core], w.prog,
-                     c.exec_total, c.exec_by[w.prog], params.core_decay_us);
+        touch_warmth(w.core, w.prog, params.core_decay_us).warmth;
     const double ws =
-        touch_warmth(llc_warmth[s], llc_foreign_seen[s], w.prog,
-                     sockets[s].exec_total, sockets[s].exec_by[w.prog],
-                     params.llc_decay_us);
+        touch_warmth(llc_of(w.core), w.prog, params.llc_decay_us).warmth;
     return 1.0 + mi * (params.core_miss_penalty * (1.0 - wc) +
                        params.llc_miss_penalty * (1.0 - ws));
   }
 
+  /// Program pi executed for `elapsed` in `cache`: decay first (so its own
+  /// time is not counted as foreign), then warm its entry.
+  void warm(unsigned cache, unsigned pi, double elapsed, double decay_const,
+            double warmup_const) {
+    Warmth& e = touch_warmth(cache, pi, decay_const);
+    e.warmth = 1.0 - (1.0 - e.warmth) * std::exp(-elapsed / warmup_const);
+    e.exec_by += elapsed;
+    cache_exec[cache] += elapsed;
+  }
+
   void account_exec(WorkerSt& w, double elapsed) {
-    CoreSt& c = cores[w.core];
-    const unsigned s = topo.socket_of(w.core);
-    // Decay first (so our own elapsed time is not counted as foreign),
-    // then warm our own entries.
-    touch_warmth(core_warmth[w.core], core_foreign_seen[w.core], w.prog,
-                 c.exec_total, c.exec_by[w.prog], params.core_decay_us);
-    touch_warmth(llc_warmth[s], llc_foreign_seen[s], w.prog,
-                 sockets[s].exec_total, sockets[s].exec_by[w.prog],
-                 params.llc_decay_us);
-    core_warmth[w.core][w.prog] =
-        1.0 - (1.0 - core_warmth[w.core][w.prog]) *
-                  std::exp(-elapsed / params.core_warmup_us);
-    llc_warmth[s][w.prog] = 1.0 - (1.0 - llc_warmth[s][w.prog]) *
-                                      std::exp(-elapsed / params.llc_warmup_us);
-    c.exec_total += elapsed;
-    c.exec_by[w.prog] += elapsed;
-    sockets[s].exec_total += elapsed;
-    sockets[s].exec_by[w.prog] += elapsed;
-    c.exec_us += elapsed;
+    warm(w.core, w.prog, elapsed, params.core_decay_us,
+         params.core_warmup_us);
+    warm(llc_of(w.core), w.prog, elapsed, params.llc_decay_us,
+         params.llc_warmup_us);
+    cores[w.core].exec_us += elapsed;
     w.exec_time += elapsed;
   }
 
@@ -437,8 +544,7 @@ struct SimEngine::Impl {
     const double seg = std::min(dur, core.quantum_left);
     core.seg_start = now;
     core.seg_len = seg;
-    ++core.epoch;
-    push_event(now + seg, Ev::kCoreSeg, c, core.epoch);
+    core.seg_seq = push_event(now + seg, c);
   }
 
   void preempt(CoreId c) {
@@ -549,18 +655,13 @@ struct SimEngine::Impl {
     ProgSt& p = progs[w.prog];
     if (p.spec.work_sharing) {
       if (p.central.empty()) return {};
-      const NodeId node = p.central.front();
-      p.central.pop_front();
-      return {node, DistanceTier::kVeryNear};
+      return {p.central.pop_front(), DistanceTier::kVeryNear};
     }
     const auto hit = w.victims.sweep(rng, [&](VictimPick pick) {
       return !workers[widx(w.prog, pick.victim)].pool.empty();
     });
     if (!hit) return {};
-    std::deque<NodeId>& pool = workers[widx(w.prog, hit->victim)].pool;
-    const NodeId node = pool.front();
-    pool.pop_front();
-    return {node, hit->tier};
+    return {workers[widx(w.prog, hit->victim)].pool.pop_front(), hit->tier};
   }
 
   void worker_sleep(unsigned wi, bool eviction) {
@@ -598,7 +699,7 @@ struct SimEngine::Impl {
     w.policy.on_task_acquired();
     w.op = Op::kExec;
     w.exec_node = node;
-    w.exec_work_left = progs[w.prog].spec.dag->node(node).work_us;
+    w.exec_work_left = progs[w.prog].dag.nodes[node].work_us;
   }
 
   /// Handle completion of the current op of the worker running on core c.
@@ -615,15 +716,11 @@ struct SimEngine::Impl {
         ProgSt& p = progs[w.prog];
         if (p.spec.work_sharing) {
           if (!p.central.empty()) {
-            const NodeId node = p.central.front();  // shared FIFO
-            p.central.pop_front();
-            begin_exec(w, node);
+            begin_exec(w, p.central.pop_front());  // shared FIFO
             return true;
           }
         } else if (!w.pool.empty()) {
-          const NodeId node = w.pool.back();  // own deque, LIFO
-          w.pool.pop_back();
-          begin_exec(w, node);
+          begin_exec(w, w.pool.pop_back());  // own deque, LIFO
           return true;
         }
         // Raced empty (a thief drained us mid-pop): fall through to a
@@ -698,11 +795,14 @@ struct SimEngine::Impl {
         ++w.counts.tasks_executed;
         emit(TraceKind::kTaskFinish, w.prog, w.core, done);
         ProgSt& p = progs[w.prog];
-        const DagNode& node = p.spec.dag->node(done);
-        for (NodeId child : node.spawns) enqueue_task(p, w, child);
-        if (node.continuation != kNoNode) {
-          if (--p.join_left[node.continuation] == 0) {
-            enqueue_task(p, w, node.continuation);
+        const FlatNode* node = &p.dag.nodes[done];
+        for (std::uint32_t i = node[0].first_spawn; i < node[1].first_spawn;
+             ++i) {
+          enqueue_task(p, w, p.dag.spawns[i]);
+        }
+        if (node->continuation != kNoNode) {
+          if (--p.join_left[node->continuation] == 0) {
+            enqueue_task(p, w, node->continuation);
           }
         }
         if (--p.tasks_left == 0) {
@@ -738,9 +838,10 @@ struct SimEngine::Impl {
     return w.op_left <= kEps;
   }
 
-  void on_core_seg(CoreId c, std::uint64_t epoch) {
+  void on_core_seg(CoreId c, std::uint64_t seq) {
     CoreSt& core = cores[c];
-    if (epoch != core.epoch || core.running == kNoWorker) return;  // stale
+    // A core has at most one pending segment; this check only guards it.
+    if (seq != core.seg_seq || core.running == kNoWorker) return;  // stale
     const bool op_done = advance_running(c, core.seg_len);
 
     if (!op_done) {
@@ -797,7 +898,7 @@ struct SimEngine::Impl {
         --need;
       }
     }
-    push_event(now + params.coordinator_period_us, Ev::kCoordTick, pi);
+    push_event(now + params.coordinator_period_us, tick_source(pi));
   }
 
   void wake_worker(unsigned wi, bool from_coordinator = true) {
@@ -807,7 +908,7 @@ struct SimEngine::Impl {
     ++w.counts.wakes;
     emit(TraceKind::kWake, w.prog, w.core);
     if (from_coordinator) ++progs[w.prog].counts.coordinator_wakes;
-    push_event(now + params.wake_latency_us, Ev::kWake, wi);
+    push_event(now + params.wake_latency_us, wake_source(wi));
   }
 
   void on_wake(unsigned wi) {
@@ -823,19 +924,27 @@ struct SimEngine::Impl {
   // ---- main loop ----
 
   SimResult run() {
-    while (!events.empty() && !finished) {
-      const Event ev = events.top();
-      events.pop();
-      if (ev.t > params.max_sim_time_us) {
+    const std::uint64_t src_mask = (std::uint64_t{1} << src_bits) - 1;
+    while (!finished) {
+      const Key key = pop_event();
+      if (key == kNoKey) break;
+      const auto high = static_cast<std::uint64_t>(key >> 64);
+      const auto low = static_cast<std::uint64_t>(key);
+      const auto t = std::bit_cast<double>(high);
+      if (t > params.max_sim_time_us) {
         hit_limit = true;
         break;
       }
-      now = ev.t;
-      switch (ev.kind) {
-        case Ev::kCoreSeg: on_core_seg(ev.a, ev.epoch); break;
-        case Ev::kCoordTick: on_coord_tick(ev.a); break;
-        case Ev::kWake: on_wake(ev.a); break;
-        case Ev::kSample: on_sample(); break;
+      now = t;
+      const auto src = static_cast<std::uint32_t>(low & src_mask);
+      if (src < k) {
+        on_core_seg(src, low >> src_bits);
+      } else if (src < k + m) {
+        on_coord_tick(src - k);
+      } else if (src < sample_source()) {
+        on_wake(src - k - m);
+      } else {
+        on_sample();
       }
     }
     if (!finished && !hit_limit) {
