@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -220,7 +221,10 @@ struct SimEngine::Impl {
   /// Schedule the event of `source` at time t; returns its seq.
   std::uint64_t push_event(double t, std::uint32_t source) {
     const std::uint64_t seq = next_seq++;
-    if (held != kNoKey) heap_push(held);
+    if (held != kNoKey) {
+      heap.push_back(held);
+      std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+    }
     held = (Key{std::bit_cast<std::uint64_t>(t)} << 64) |
            (seq << src_bits | source);
     return seq;
@@ -240,24 +244,14 @@ struct SimEngine::Impl {
     return top;
   }
 
-  void heap_push(Key key) {
-    std::size_t i = heap.size();
-    heap.push_back(key);
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!(key < heap[parent])) break;
-      heap[i] = heap[parent];
-      i = parent;
-    }
-    heap[i] = key;
-  }
-
-  /// Put `key` at the root (whose key has been taken) and restore order.
+  /// Put `key` at the root (whose key has been taken) and restore the
+  /// standard heap order std::push_heap keeps (children of i at 2i + 1
+  /// and 2i + 2).
   void sift_down(Key key) {
     const std::size_t n = heap.size();
     std::size_t i = 0;
     for (std::size_t child = 1; child < n; child = 2 * i + 1) {
-      if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+      if (child + 1 < n) child += heap[child + 1] < heap[child];
       if (!(heap[child] < key)) break;
       heap[i] = heap[child];
       i = child;

@@ -98,18 +98,24 @@ TEST_F(Reproduction, Fig5DwsNcWorseThanDwsOnEveryMixTotal) {
 
 TEST_F(Reproduction, Fig6TSleepExtremesAreWorseThanTheKnee) {
   // §4.3: performance is U-shaped in T_SLEEP; both extremes lose to the
-  // paper-recommended region.
-  auto sum_at = [&](int t_sleep) {
-    ExperimentConfig cfg = *cfg_;
-    cfg.params.t_sleep = t_sleep;
-    return mix_total_normalized(
-        run_mix(cfg, {1, 8}, SchedMode::kDws, *baselines_));
-  };
-  const double tiny = sum_at(0);
-  const double knee = std::min(sum_at(4), sum_at(16));
-  const double huge = sum_at(512);
-  EXPECT_GT(tiny, knee * 0.995) << "T_SLEEP=0 should not beat the knee";
-  EXPECT_GT(huge, knee * 1.02) << "T_SLEEP=512 should clearly lose";
+  // paper-recommended region. One seed's schedule can tip the T_SLEEP=0
+  // arm by about a percent either way, so each extreme's ratio to the
+  // knee is the median over 9 engine seeds (the default seed + 0..8).
+  util::Samples tiny, huge;
+  for (unsigned r = 0; r < 9; ++r) {
+    auto sum_at = [&](int t_sleep) {
+      ExperimentConfig cfg = *cfg_;
+      cfg.params.seed += r;
+      cfg.params.t_sleep = t_sleep;
+      return mix_total_normalized(
+          run_mix(cfg, {1, 8}, SchedMode::kDws, *baselines_));
+    };
+    const double knee = std::min(sum_at(4), sum_at(16));
+    tiny.add(sum_at(0) / knee);
+    huge.add(sum_at(512) / knee);
+  }
+  EXPECT_GT(tiny.median(), 0.995) << "T_SLEEP=0 should not beat the knee";
+  EXPECT_GT(huge.median(), 1.02) << "T_SLEEP=512 should clearly lose";
 }
 
 TEST_F(Reproduction, Section44NoSingleProgramDegradation) {

@@ -242,10 +242,18 @@ TEST(SchedulerDws, SecondProgramSlotStartsAsleep) {
   ASSERT_TRUE(eventually([&] { return sched.sleeping_workers() >= 2; },
                          3000ms));
   // Sustained load lets the coordinator claim the free non-home cores.
-  std::atomic<std::int64_t> sum{0};
-  parallel_for_each_index(sched, 0, 200000, 16, [&](std::int64_t i) {
-    sum.fetch_add(i % 7, std::memory_order_relaxed);
+  // Self-renewing chains keep the program saturated until a tick has
+  // claimed one, or 3 s pass, however slowly a loaded host runs ticks.
+  std::atomic<bool> stop{false};
+  TaskGroup group;
+  sched.run([&] {
+    for (int i = 0; i < 8; ++i) {
+      sched.spawn(group, ChainLink{&sched, &group, 20000, &stop});
+    }
   });
+  eventually([&] { return sched.stats().cores_claimed > 0; }, 3000ms);
+  stop.store(true, std::memory_order_release);
+  sched.wait(group);
   const auto stats = sched.stats();
   EXPECT_GT(stats.cores_claimed, 0u)
       << "coordinator should have claimed free non-home cores under load";
